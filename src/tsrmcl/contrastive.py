@@ -10,7 +10,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 

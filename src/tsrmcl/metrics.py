@@ -8,12 +8,18 @@ mean: over the 10 IoU thresholds per category first, then over
 categories. Matching is greedy in descending confidence (ties broken by
 stable input order), one ground truth matched at most once, the
 highest-IoU unmatched ground truth of the same category wins.
+
+Each image is matched in one pass: every same-category IoU is computed
+once and read at all 10 thresholds. AP sweeps regroup those per-image
+flags by category, and precision/recall at IoU 0.50 reuse the AP50
+flags rather than matching again.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .boxes import BBox, iou
@@ -54,6 +60,35 @@ class GroundTruth:
     category: str
 
 
+def _greedy_match(dets, gts, thresholds):
+    """TP flags of one image's detections at each IoU threshold.
+
+    The IoU of every same-category (detection, ground truth) pair is
+    computed once and reused at every threshold. Returns one list per
+    threshold; ``flags[t][i]`` is True iff detection i (input order)
+    matched at ``thresholds[t]``.
+    """
+    order = sorted(range(len(dets)), key=lambda i: -dets[i].confidence)
+    overlaps = [
+        [(j, iou(det.bbox, gt.bbox)) for j, gt in enumerate(gts) if gt.category == det.category]
+        for det in dets
+    ]
+    flags = []
+    for thr in thresholds:
+        taken = [False] * len(gts)
+        labels = [False] * len(dets)
+        for i in order:
+            best_iou, best_j = 0.0, -1
+            for j, ov in overlaps[i]:
+                if not taken[j] and ov >= thr and ov > best_iou:
+                    best_iou, best_j = ov, j
+            if best_j >= 0:
+                taken[best_j] = True
+                labels[i] = True
+        flags.append(labels)
+    return flags
+
+
 def match_detections(dets, gts, iou_threshold: float):
     """Greedy TP/FP assignment within one image.
 
@@ -61,26 +96,9 @@ def match_detections(dets, gts, iou_threshold: float):
     order) matched an unmatched same-category ground truth with
     IoU >= threshold; ``fn`` counts ground truths left unmatched.
     """
-    dets = list(dets)
     gts = list(gts)
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].confidence)
-    taken = [False] * len(gts)
-    labels = [False] * len(dets)
-    for i in order:
-        det = dets[i]
-        best_iou = 0.0
-        best_j = -1
-        for j, gt in enumerate(gts):
-            if taken[j] or gt.category != det.category:
-                continue
-            ov = iou(det.bbox, gt.bbox)
-            if ov >= iou_threshold and ov > best_iou:
-                best_iou = ov
-                best_j = j
-        if best_j >= 0:
-            taken[best_j] = True
-            labels[i] = True
-    return labels, taken.count(False)
+    [labels] = _greedy_match(list(dets), gts, (iou_threshold,))
+    return labels, len(gts) - sum(labels)
 
 
 def precision_recall(tp: int, fp: int, fn: int) -> tuple[float, float]:
@@ -92,59 +110,44 @@ def precision_recall(tp: int, fp: int, fn: int) -> tuple[float, float]:
     return p, r
 
 
-def _eleven_point_ap(recalls, precisions) -> float:
+def _sweep(dets_by_image, gts_by_image, thresholds):
+    """Match every image once; regroup the TP flags by category.
+
+    Returns (flags, gt_counts): ``flags[cat][t]`` lists the flags of
+    category ``cat``'s detections at ``thresholds[t]`` in global sweep
+    order (descending confidence, then sorted image id, then input
+    order); ``gt_counts[cat]`` counts its ground truths over all images.
+    Matching never crosses images or categories, so per-image flags are
+    those of a per-category global sweep.
+    """
+    rows: dict[str, list] = {}  # cat -> [(-confidence, flag per threshold)]
+    for image_id in sorted(dets_by_image):
+        dets = dets_by_image[image_id]
+        per_thr = _greedy_match(dets, gts_by_image.get(image_id, []), thresholds)
+        for i, det in enumerate(dets):
+            rows.setdefault(det.category, []).append((-det.confidence, [f[i] for f in per_thr]))
+    flags = {}
+    for cat, entries in rows.items():
+        entries.sort(key=lambda e: e[0])  # stable: ties keep image, then input order
+        flags[cat] = [[e[1][t] for e in entries] for t in range(len(thresholds))]
+    gt_counts = Counter(gt.category for gts in gts_by_image.values() for gt in gts)
+    return flags, gt_counts
+
+
+def _eleven_point_ap(flags, total_gts: int):
+    """11-point interpolated AP of TP flags in sweep order (see ``ap_at``)."""
+    if total_gts == 0:
+        return 0.0 if flags else None
+    points = []
+    tp = 0
+    for rank, is_tp in enumerate(flags, start=1):
+        tp += int(is_tp)
+        points.append((tp / total_gts, tp / rank))
     total = 0.0
     for k in range(11):
         level = k / 10.0
-        best = 0.0
-        for r, p in zip(recalls, precisions):
-            if r >= level and p > best:
-                best = p
-        total += best
+        total += max((p for r, p in points if r >= level), default=0.0)
     return total / 11.0
-
-
-def _category_sweep(dets_by_image, gts_by_image, category: str, iou_threshold: float):
-    """Global confidence sweep for one category.
-
-    Yields cumulative TP flags in sweep order plus the total ground
-    truth count. Images iterate in sorted id order so confidence ties
-    stay deterministic.
-    """
-    entries = []  # (confidence, image order, input order, detection)
-    for img_rank, image_id in enumerate(sorted(dets_by_image)):
-        for idx, det in enumerate(dets_by_image[image_id]):
-            if det.category == category:
-                entries.append((-det.confidence, img_rank, idx, image_id, det))
-    entries.sort(key=lambda e: (e[0], e[1], e[2]))
-
-    total_gts = 0
-    gt_pool: dict[str, list[GroundTruth]] = {}
-    for image_id, gts in gts_by_image.items():
-        mine = [g for g in gts if g.category == category]
-        gt_pool[image_id] = mine
-        total_gts += len(mine)
-
-    taken: dict[str, list[bool]] = {k: [False] * len(v) for k, v in gt_pool.items()}
-    flags = []
-    for _, _, _, image_id, det in entries:
-        pool = gt_pool.get(image_id, [])
-        marks = taken.get(image_id, [])
-        best_iou = 0.0
-        best_j = -1
-        for j, gt in enumerate(pool):
-            if marks[j]:
-                continue
-            ov = iou(det.bbox, gt.bbox)
-            if ov >= iou_threshold and ov > best_iou:
-                best_iou = ov
-                best_j = j
-        if best_j >= 0:
-            marks[best_j] = True
-            flags.append(True)
-        else:
-            flags.append(False)
-    return flags, total_gts
 
 
 def ap_at(dets_by_image, gts_by_image, category: str, iou_threshold: float):
@@ -154,19 +157,11 @@ def ap_at(dets_by_image, gts_by_image, category: str, iou_threshold: float):
     detections (undefined); 0.0 when it has detections but no ground
     truths.
     """
-    flags, total_gts = _category_sweep(dets_by_image, gts_by_image, category, iou_threshold)
-    if total_gts == 0:
-        return 0.0 if flags else None
-    if not flags:
-        return 0.0
-    recalls = []
-    precisions = []
-    tp = 0
-    for rank, is_tp in enumerate(flags, start=1):
-        tp += int(is_tp)
-        recalls.append(tp / total_gts)
-        precisions.append(tp / rank)
-    return _eleven_point_ap(recalls, precisions)
+    def mine(by_image):
+        return {k: [x for x in v if x.category == category] for k, v in by_image.items()}
+
+    flags, gt_counts = _sweep(mine(dets_by_image), mine(gts_by_image), (iou_threshold,))
+    return _eleven_point_ap(flags.get(category, [[]])[0], gt_counts.get(category, 0))
 
 
 def ap50(dets_by_image, gts_by_image, category: str):
@@ -237,19 +232,15 @@ def map_suite(dets_by_image, gts_by_image, train_counts: dict | None = None) -> 
     positives in P/R. Stratum assignment uses ``train_counts`` when
     given, otherwise the ground-truth instance counts of this set.
     """
-    gt_counts: dict[str, int] = {}
-    for gts in gts_by_image.values():
-        for gt in gts:
-            gt_counts[gt.category] = gt_counts.get(gt.category, 0) + 1
+    flags, gt_counts = _sweep(dets_by_image, gts_by_image, IOU_THRESHOLDS)
     if not gt_counts:
         raise ContractError("map_suite requires at least one ground truth")
 
     categories = sorted(gt_counts)
     report = APReport()
     for cat in categories:
-        thrs = {}
-        for thr in IOU_THRESHOLDS:
-            thrs[thr] = ap_at(dets_by_image, gts_by_image, cat, thr)
+        per_thr = flags.get(cat, [[]] * len(IOU_THRESHOLDS))
+        thrs = dict(zip(IOU_THRESHOLDS, (_eleven_point_ap(f, gt_counts[cat]) for f in per_thr)))
         report.per_category[cat] = thrs
         report.ap50_per_category[cat] = thrs[0.50]
     report.map50 = sum(report.ap50_per_category.values()) / len(categories)
@@ -257,16 +248,12 @@ def map_suite(dets_by_image, gts_by_image, train_counts: dict | None = None) -> 
         sum(thrs.values()) / len(IOU_THRESHOLDS) for thrs in report.per_category.values()
     ) / len(categories)
 
-    tp = fp = fn = 0
-    for image_id in sorted(set(dets_by_image) | set(gts_by_image)):
-        dets = dets_by_image.get(image_id, [])
-        gts = gts_by_image.get(image_id, [])
-        labels, miss = match_detections(dets, gts, 0.50)
-        tp += sum(labels)
-        fp += len(labels) - sum(labels)
-        fn += miss
-    report.tp, report.fp, report.fn = tp, fp, fn
-    report.precision, report.recall = precision_recall(tp, fp, fn)
+    # P/R count every detection at IoU 0.50, unannotated categories included
+    at50 = [f for per_thr in flags.values() for f in per_thr[0]]
+    report.tp = sum(at50)
+    report.fp = len(at50) - report.tp
+    report.fn = sum(gt_counts.values()) - report.tp
+    report.precision, report.recall = precision_recall(report.tp, report.fp, report.fn)
 
     counts = train_counts if train_counts is not None else gt_counts
     strata: dict[str, dict] = {
@@ -289,8 +276,23 @@ def map_suite(dets_by_image, gts_by_image, train_counts: dict | None = None) -> 
 # -- interchange formats ---------------------------------------------------
 
 
+_FIELD_ERRORS = (ContractError, KeyError, TypeError, ValueError)
+
+
+def _malformed(where: str, exc: Exception) -> ContractError:
+    detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+    return ContractError(f"{where}: {detail}")
+
+
+def _as_object(value) -> dict:
+    if not isinstance(value, dict):
+        raise ContractError(f"expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 def load_predictions_jsonl(path) -> dict[str, list[Detection]]:
-    """JSON lines of {image_id, category, bbox: [x0,y0,x1,y1], confidence}."""
+    """JSON lines of {image_id, category, bbox: [x0,y0,x1,y1], confidence};
+    a malformed line raises ContractError naming ``path:line``."""
     out: dict[str, list[Detection]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -298,34 +300,33 @@ def load_predictions_jsonl(path) -> dict[str, list[Detection]]:
             if not line:
                 continue
             try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ContractError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-            out.setdefault(str(row["image_id"]), []).append(
-                Detection(
-                    bbox=BBox.from_json(row["bbox"]),
-                    category=str(row["category"]),
-                    confidence=float(row["confidence"]),
-                )
-            )
+                row = _as_object(json.loads(line))
+                det = Detection(BBox.from_json(row["bbox"]), str(row["category"]),
+                                float(row["confidence"]))
+                image_id = str(row["image_id"])
+            except _FIELD_ERRORS as exc:
+                raise _malformed(f"{path}:{lineno}", exc) from exc
+            out.setdefault(image_id, []).append(det)
     return out
 
 
 def load_tt100k_ground_truth(path) -> dict[str, list[GroundTruth]]:
-    """TT100K-style {"imgs": {id: {"path", "objects": [...]}}} annotations."""
+    """TT100K-style {"imgs": {id: {"path", "objects": [...]}}} annotations;
+    a malformed document raises ContractError naming the bad object."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        text = fh.read()
     out: dict[str, list[GroundTruth]] = {}
-    for image_id, entry in doc.get("imgs", {}).items():
-        gts = []
-        for obj in entry.get("objects", []):
-            bb = obj["bbox"]
-            gts.append(
-                GroundTruth(
-                    bbox=BBox(float(bb["xmin"]), float(bb["ymin"]),
-                              float(bb["xmax"]), float(bb["ymax"])),
-                    category=str(obj["category"]),
-                )
-            )
-        out[str(image_id)] = gts
+    where = str(path)
+    try:
+        for image_id, entry in _as_object(_as_object(json.loads(text)).get("imgs", {})).items():
+            where = f"{path}: imgs[{image_id}]"
+            gts = []
+            for k, obj in enumerate(_as_object(entry).get("objects", [])):
+                where = f"{path}: imgs[{image_id}].objects[{k}]"
+                bb = _as_object(_as_object(obj)["bbox"])
+                box = BBox(*(float(bb[key]) for key in ("xmin", "ymin", "xmax", "ymax")))
+                gts.append(GroundTruth(box, str(obj["category"])))
+            out[str(image_id)] = gts
+    except _FIELD_ERRORS as exc:
+        raise _malformed(where, exc) from exc
     return out

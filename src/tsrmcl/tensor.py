@@ -87,14 +87,6 @@ class Tensor:
             out._grad_fn = None
         return out
 
-    @classmethod
-    def zeros(cls, *shape: int) -> "Tensor":
-        return cls(np.zeros(shape))
-
-    @classmethod
-    def ones(cls, *shape: int) -> "Tensor":
-        return cls(np.ones(shape))
-
     # -- bookkeeping ---------------------------------------------------
 
     @property

@@ -44,10 +44,17 @@ class TestDispatch:
     def test_missing_required_flag_usage_error(self):
         assert run(["synth"]) == 2
 
-    def test_runtime_error_is_one(self, tmp_path):
-        assert run(["eval", "--pred", str(tmp_path / "missing.jsonl"),
-                    "--gt", str(tmp_path / "missing.json"),
+    @pytest.mark.parametrize("pred_line", [None, "[1, 2, 3]"],
+                             ids=["missing-files", "non-object-prediction"])
+    def test_runtime_error_is_one(self, tmp_path, capsys, pred_line):
+        pred, gt = tmp_path / "pred.jsonl", tmp_path / "gt.json"
+        if pred_line is not None:
+            pred.write_text(pred_line + "\n")
+            gt.write_text('{"imgs": {}}')
+        assert run(["eval", "--pred", str(pred), "--gt", str(gt),
                     "--out", str(tmp_path / "out")]) == 1
+        located = f"{pred}:1: " if pred_line is not None else ""
+        assert capsys.readouterr().err.startswith(f"error: {located}")
 
 
 class TestSynth:

@@ -1,6 +1,8 @@
 """Detection scoring against hand traces and an independent brute-force
 evaluator (naive matching plus direct 11-point summation)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,30 @@ def brute_report(dets_by_image, gts_by_image):
     map50 = sum(ap[c][0.50] for c in cats) / len(cats)
     map5095 = sum(sum(ap[c].values()) / 10 for c in cats) / len(cats)
     return ap, map50, map5095
+
+
+def brute_counts(dets_by_image, gts_by_image, thr=0.5):
+    """TP/FP/FN from an independent greedy pass per image, every image
+    on either side included."""
+    tp = fp = fn = 0
+    for image_id in set(dets_by_image) | set(gts_by_image):
+        gts = gts_by_image.get(image_id, [])
+        used = [False] * len(gts)
+        for det in sorted(dets_by_image.get(image_id, []), key=lambda d: -d.confidence):
+            best, best_j = 0.0, -1
+            for j, g in enumerate(gts):
+                if used[j] or g.category != det.category:
+                    continue
+                ov = brute_iou(det.bbox, g.bbox)
+                if ov >= thr and ov > best:
+                    best, best_j = ov, j
+            if best_j >= 0:
+                used[best_j] = True
+                tp += 1
+            else:
+                fp += 1
+        fn += used.count(False)
+    return tp, fp, fn
 
 
 def random_scene(rng, max_boxes=20, cats=("a", "b", "c")):
@@ -213,25 +239,23 @@ class TestAP50:
         assert ap_at(dets, {"i": []}, "zz", 0.5) == 0.0
 
     def test_interpolated_precision_non_increasing(self, rng):
+        from tsrmcl.metrics import _sweep
+
         for _ in range(20):
             dets_by, gts_by = random_scenes(rng, 3, max_boxes=10)
+            flags, gt_counts = _sweep(dets_by, gts_by, (0.5,))
             for cat in ("a", "b", "c"):
-                flagged = []
-                for k in range(11):
-                    level = k / 10.0
-                    # recompute interpolation maxima directly
-                    from tsrmcl.metrics import _category_sweep
-
-                    flags, n_gts = _category_sweep(dets_by, gts_by, cat, 0.5)
-                    if n_gts == 0:
-                        continue
-                    tp = 0
-                    pts = []
-                    for n, is_tp in enumerate(flags, start=1):
-                        tp += int(is_tp)
-                        pts.append((tp / n_gts, tp / n))
-                    best = max((p for r, p in pts if r >= level), default=0.0)
-                    flagged.append(best)
+                n_gts = gt_counts.get(cat, 0)
+                if n_gts == 0:
+                    continue
+                tp = 0
+                pts = []
+                for n, is_tp in enumerate(flags.get(cat, [[]])[0], start=1):
+                    tp += int(is_tp)
+                    pts.append((tp / n_gts, tp / n))
+                # recompute interpolation maxima directly
+                flagged = [max((p for r, p in pts if r >= k / 10.0), default=0.0)
+                           for k in range(11)]
                 assert all(x >= y - 1e-15 for x, y in zip(flagged, flagged[1:]))
 
 
@@ -293,6 +317,23 @@ class TestMapSuite:
         assert report.map50 == 1.0
         assert report.fp == 1  # the zz detection
 
+    def test_counts_match_brute_force_per_image(self, rng):
+        for _ in range(30):
+            dets_by, gts_by = {}, {}
+            for i in range(5):
+                dets, gts = random_scene(rng, 10, cats=("a", "b", "c", "zz"))
+                dets_by[f"img{i}"] = dets
+                gts_by[f"img{i}"] = [g for g in gts if g.category != "zz"]  # zz unannotated
+            del dets_by["img0"]  # ground truths only
+            del gts_by["img4"]  # detections only
+            if not any(gts_by.values()):
+                continue
+            report = map_suite(dets_by, gts_by)
+            tp, fp, fn = brute_counts(dets_by, gts_by)
+            assert (report.tp, report.fp, report.fn) == (tp, fp, fn)
+            assert report.precision == (tp / (tp + fp) if tp + fp else 0.0)
+            assert report.recall == (tp / (tp + fn) if tp + fn else 0.0)
+
     def test_strata_partition_categories(self, rng):
         dets_by, gts_by = random_scenes(rng, 6)
         counts = {"a": 150, "b": 55, "c": 3}
@@ -322,11 +363,54 @@ class TestInterchange:
         assert dets["x"][0].bbox == BBox(0, 0, 5, 5)
         assert dets["x"][1].confidence == 0.5
 
-    def test_bad_jsonl_names_location(self, tmp_path):
+    @pytest.mark.parametrize("line, detail", [
+        ('{"image_id": "x"', "Expecting"),
+        ('{"image_id": "x", "bbox": [0, 0, 5, 5], "confidence": 0.5}',
+         "missing field 'category'"),
+        ("[1, 2, 3]", "expected a JSON object, got list"),
+        ('{"image_id": "x", "category": "a", "bbox": [0, 0, 5, 5], "confidence": "x"}',
+         "could not convert"),
+        ('{"image_id": "x", "category": "a", "bbox": [0, 0, 5, 5], "confidence": 1.5}',
+         "outside"),
+        ('{"image_id": "x", "category": "a", "bbox": [5, 5, 5, 9], "confidence": 0.5}',
+         "degenerate box"),
+        ('{"image_id": "x", "category": "a", "bbox": [0, 0, 5], "confidence": 0.5}',
+         "4 entries"),
+    ], ids=["bad-json", "missing-field", "non-object", "bad-confidence",
+            "confidence-range", "degenerate-box", "short-box"])
+    def test_bad_jsonl_names_location(self, tmp_path, line, detail):
         path = tmp_path / "p.jsonl"
-        path.write_text('{"image_id": "x"\n')
-        with pytest.raises(ContractError, match=":1"):
+        path.write_text(
+            '{"image_id": "x", "category": "a", "bbox": [0, 0, 5, 5], "confidence": 0.5}\n'
+            + line + "\n"
+        )
+        with pytest.raises(ContractError, match=re.escape(f"{path}:2: ") + ".*" + detail):
             load_predictions_jsonl(path)
+
+    @pytest.mark.parametrize("doc, where, detail", [
+        ('{"imgs": ', "", "Expecting"),
+        ("[1]", "", "expected a JSON object, got list"),
+        ('{"imgs": []}', "", "expected a JSON object, got list"),
+        ('{"imgs": {"7": []}}', "imgs[7]", "expected a JSON object, got list"),
+        ('{"imgs": {"7": {"objects": [OK, {"category": "a"}]}}}', "imgs[7].objects[1]",
+         "missing field 'bbox'"),
+        ('{"imgs": {"7": {"objects": [OK, {"category": "a", "bbox": '
+         '{"xmin": 1, "ymin": 2, "xmax": 9}}]}}}', "imgs[7].objects[1]", "missing field 'ymax'"),
+        ('{"imgs": {"7": {"objects": [OK, {"category": "a", "bbox": '
+         '{"xmin": "x", "ymin": 2, "xmax": 9, "ymax": 12}}]}}}', "imgs[7].objects[1]",
+         "could not convert"),
+        ('{"imgs": {"7": {"objects": [OK, {"category": "a", "bbox": '
+         '{"xmin": 9, "ymin": 2, "xmax": 9, "ymax": 12}}]}}}', "imgs[7].objects[1]",
+         "degenerate box"),
+    ], ids=["bad-json", "non-object-doc", "imgs-list", "entry-list", "missing-bbox",
+            "missing-ymax", "bad-number", "degenerate-box"])
+    def test_bad_tt100k_names_location(self, tmp_path, doc, where, detail):
+        ok = '{"category": "a", "bbox": {"xmin": 1, "ymin": 2, "xmax": 9, "ymax": 12}}'
+        path = tmp_path / "gt.json"
+        path.write_text(doc.replace("OK", ok))
+        location = f"{path}: {where}: " if where else f"{path}: "
+        with pytest.raises(ContractError, match=re.escape(location) + ".*" + detail):
+            load_tt100k_ground_truth(path)
 
     def test_tt100k_ground_truth(self, tmp_path):
         path = tmp_path / "gt.json"
