@@ -23,8 +23,6 @@ from .encoders import (
     EncoderParams,
     TextEncoderConfig,
     ViTConfig,
-    encode_image,
-    encode_text,
     patchify,
     project_to_shared,
 )

@@ -13,7 +13,6 @@ import logging
 import os
 import zlib
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,7 +27,6 @@ __all__ = [
     "SyntheticSignSpec",
     "LONGTAIL8",
     "PALETTE",
-    "worker_count",
     "write_ppm",
     "read_ppm",
     "read_image",
@@ -60,17 +58,6 @@ PALETTE = {
 }
 
 
-def worker_count() -> int:
-    """Worker-thread cap; honors the TSRMCL_THREADS environment variable."""
-    env = os.environ.get("TSRMCL_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            log.warning("ignoring non-integer TSRMCL_THREADS=%r", env)
-    return min(8, os.cpu_count() or 1)
-
-
 # -- image I/O ---------------------------------------------------------------
 
 
@@ -85,6 +72,12 @@ def write_ppm(path, img: np.ndarray) -> None:
 
 
 def read_ppm(path) -> np.ndarray:
+    """Binary PPM (P6, maxval 255) as a uint8 H x W x 3 array.
+
+    A header without integer width, height and maxval, or a payload
+    shorter than width * height * 3 bytes, raises ``ContractError``
+    naming ``path``.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(b"P6"):
@@ -102,11 +95,20 @@ def read_ppm(path) -> np.ndarray:
         start = pos
         while pos < len(data) and data[pos] not in b" \t\r\n":
             pos += 1
-        fields.append(int(data[start:pos]))
+        token = data[start:pos]
+        if not token.isdigit():
+            raise ContractError(
+                f"{path}: PPM header needs integer width, height and maxval, got {token!r}"
+            )
+        fields.append(int(token))
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
     if maxval != 255:
         raise ContractError(f"{path}: only maxval 255 supported, got {maxval}")
+    if len(data) - pos < h * w * 3:
+        raise ContractError(
+            f"{path}: truncated PPM payload, {max(0, len(data) - pos)} of {h * w * 3} bytes"
+        )
     img = np.frombuffer(data, dtype=np.uint8, count=h * w * 3, offset=pos)
     return img.reshape(h, w, 3).copy()
 
@@ -225,31 +227,18 @@ def crop_signs(annotations: dict, image_root=None, images: dict | None = None):
 
     Returns a list of (crop, category, image_id, object_index).
     """
-    entries = sorted(annotations["imgs"].items())
-
-    def load_one(item):
-        image_id, entry = item
-        if images is not None and image_id in images:
-            return image_id, np.asarray(images[image_id])
-        path = entry.get("path", "")
-        full = os.path.join(image_root, path) if image_root else path
-        try:
-            return image_id, read_image(full)
-        except (OSError, ContractError) as exc:
-            log.warning("skipping unreadable image %s: %s", full, exc)
-            return image_id, None
-
-    max_workers = worker_count()
-    if max_workers > 1 and images is None and len(entries) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            loaded = list(pool.map(load_one, entries))
-    else:
-        loaded = [load_one(e) for e in entries]
-
     crops = []
-    for (image_id, entry), (_, img) in zip(entries, loaded):
-        if img is None:
-            continue
+    for image_id, entry in sorted(annotations["imgs"].items()):
+        if images is not None and image_id in images:
+            img = np.asarray(images[image_id])
+        else:
+            path = entry.get("path", "")
+            full = os.path.join(image_root, path) if image_root else path
+            try:
+                img = read_image(full)
+            except (OSError, ContractError) as exc:
+                log.warning("skipping unreadable image %s: %s", full, exc)
+                continue
         h, w = img.shape[:2]
         for k, obj in enumerate(entry.get("objects", [])):
             bb = obj["bbox"]

@@ -27,9 +27,7 @@ __all__ = [
     "init_projection_params",
     "sinusoidal_positions",
     "patchify",
-    "encode_image",
     "encode_images",
-    "encode_text",
     "encode_texts",
     "project_to_shared",
 ]
@@ -147,29 +145,21 @@ def init_projection_params(d_in: int, d_out: int, seed: int) -> dict[str, Tensor
 # -- patch extraction --------------------------------------------------------
 
 
-def patchify(image: Tensor, p: int) -> Tensor:
-    """Cut an image into non-overlapping p x p patches.
+def patchify(images: Tensor, p: int) -> Tensor:
+    """Cut a (B, H, W, C) stack into non-overlapping p x p patches.
 
-    (H, W, C) -> (N, p*p*C) with N = HW/p^2, patches in row-major order
-    and each patch flattened row-major. A leading batch axis is allowed:
-    (B, H, W, C) -> (B, N, p*p*C).
+    Returns (B, N, p*p*C) with N = HW/p^2, patches in row-major order
+    and each patch flattened row-major.
     """
-    image = Tensor._coerce(image)
-    batched = image.ndim == 4
-    if image.ndim not in (3, 4):
-        raise DimensionError(f"patchify expects (H,W,C) or (B,H,W,C), got {image.shape}")
-    h, w, c = image.shape[-3:]
+    images = Tensor._coerce(images)
+    if images.ndim != 4:
+        raise DimensionError(f"patchify expects (B,H,W,C), got {images.shape}")
+    b, h, w, c = images.shape
     if h % p or w % p:
         raise DimensionError(f"image dims ({h}, {w}) not divisible by patch {p}")
-    n = (h // p) * (w // p)
-    if batched:
-        b = image.shape[0]
-        x = image.reshape(b, h // p, p, w // p, p, c)
-        x = x.transpose(0, 1, 3, 2, 4, 5)
-        return x.reshape(b, n, p * p * c)
-    x = image.reshape(h // p, p, w // p, p, c)
-    x = x.transpose(0, 2, 1, 3, 4)
-    return x.reshape(n, p * p * c)
+    x = images.reshape(b, h // p, p, w // p, p, c)
+    x = x.transpose(0, 1, 3, 2, 4, 5)
+    return x.reshape(b, (h // p) * (w // p), p * p * c)
 
 
 # -- shared attention machinery ----------------------------------------------
@@ -211,9 +201,7 @@ def encode_images(images: Tensor, params: EncoderParams) -> Tensor:
     """Encode a (B, H, W, C) stack; returns the (B, d) [CLS] rows."""
     cfg: ViTConfig = params.config
     images = Tensor._coerce(images)
-    if images.ndim == 3:
-        images = images.reshape(1, *images.shape)
-    if images.shape[1:] != (cfg.image_side, cfg.image_side, cfg.channels):
+    if images.ndim != 4 or images.shape[1:] != (cfg.image_side, cfg.image_side, cfg.channels):
         raise DimensionError(
             f"image batch shape {images.shape} does not match config "
             f"({cfg.image_side}, {cfg.image_side}, {cfg.channels})"
@@ -229,14 +217,6 @@ def encode_images(images: Tensor, params: EncoderParams) -> Tensor:
     for i in range(cfg.layers):
         z = _vit_block(z, t, i, cfg.heads)
     return z[:, 0, :]
-
-
-def encode_image(image: Tensor, params: EncoderParams) -> Tensor:
-    """Encode one (H, W, C) image to its d-dim [CLS] feature."""
-    image = Tensor._coerce(image)
-    if image.ndim != 3:
-        raise DimensionError(f"encode_image expects (H,W,C), got {image.shape}")
-    return encode_images(image.reshape(1, *image.shape), params).reshape(-1)
 
 
 def _ids_and_mask(sequences, cfg: TextEncoderConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -274,17 +254,10 @@ def encode_texts(sequences, params: EncoderParams) -> Tensor:
     return z[:, 0, :]
 
 
-def encode_text(tokens: TokenSequence, params: EncoderParams) -> Tensor:
-    """Encode one token sequence to its d-dim [CLS] feature."""
-    return encode_texts([tokens], params).reshape(-1)
-
-
 def project_to_shared(f: Tensor, params: dict[str, Tensor]) -> Tensor:
-    """Linear projection followed by L2 normalization to unit length."""
+    """(B, d_in) features -> (B, d_out) rows: a linear projection, then
+    L2 normalization of each row to unit length."""
     f = Tensor._coerce(f)
-    single = f.ndim == 1
-    if single:
-        f = f.reshape(1, -1)
-    out = matmul(f, params["w"]) + params["b"]
-    out = l2_normalize(out)
-    return out.reshape(-1) if single else out
+    if f.ndim != 2:
+        raise DimensionError(f"project_to_shared expects (B, d), got {f.shape}")
+    return l2_normalize(matmul(f, params["w"]) + params["b"])

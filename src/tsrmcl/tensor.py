@@ -27,8 +27,6 @@ __all__ = [
     "l2_normalize",
     "concat",
     "uniform_init",
-    "save_tensor",
-    "load_tensor",
     "tensor_to_bytes",
     "tensor_from_bytes",
 ]
@@ -560,15 +558,3 @@ def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
     data = np.frombuffer(buf, dtype="<f8", count=count, offset=offset).reshape(dims)
     offset += count * 8
     return Tensor(np.array(data)), offset
-
-
-def save_tensor(t: Tensor, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(tensor_to_bytes(t))
-
-
-def load_tensor(path) -> Tensor:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    t, _ = tensor_from_bytes(buf)
-    return t

@@ -378,24 +378,13 @@ def tokenize(text: str, vocab: Vocab, number_protection: bool = True) -> TokenSe
     spans = tuple(protect_numbers(norm)[1]) if number_protection else ()
     ids: list[int] = [vocab.cls_id]
     space_id = vocab.token_to_id.get(" ", vocab.unk_id)
-    first = True
-    pos = 0
-    for word in norm.split(" "):
-        if not first:
+    # normalize() leaves single spaces only, so one space token joins each word pair
+    for i, (syms, flags) in enumerate(_pretokenize(norm, spans)):
+        if i:
             ids.append(space_id)
-        first = False
-        if word:
-            rel = [sp for sp in spans if pos <= sp[0] and sp[1] <= pos + len(word)]
-            syms, flags = _word_symbols(word, pos, rel)
-            syms, flags = _apply_merges(syms, flags, vocab.merges)
-            for sym, protected in zip(syms, flags):
-                if protected:
-                    ids.append(vocab.token_to_id.get(sym, vocab.num_id))
-                else:
-                    ids.append(vocab.token_to_id.get(sym, vocab.unk_id))
-        pos += len(word) + 1
-    if norm == "":
-        ids = [vocab.cls_id]
+        syms, flags = _apply_merges(syms, flags, vocab.merges)
+        for sym, protected in zip(syms, flags):
+            ids.append(vocab.token_to_id.get(sym, vocab.num_id if protected else vocab.unk_id))
     ids.append(vocab.sep_id)
     return TokenSequence(ids=tuple(ids), protected_spans=spans)
 

@@ -145,6 +145,17 @@ class TestClassifierTransparency:
             np.testing.assert_array_equal(off, on)
 
 
+class TestBatchInvariance:
+    """Stacked and one-row ``embed_images`` calls agree to 1e-12, not bit
+    for bit (``classify_image`` cache on/off equality is checked above)."""
+
+    def test_stacked_rows_within_1e_12_of_single_rows(self, model, rng):
+        images = rng.random((64, 8, 8, 3))
+        stacked = model.embed_images(images)
+        for img, row in zip(images, stacked):
+            np.testing.assert_allclose(row, model.embed_images(img[None])[0], rtol=0, atol=1e-12)
+
+
 class TestClassifyFingerprintOnce:
     """``classify_image`` checks the fingerprint once per call, not once
     per class text; a warm request must not rehash the text encoder K times."""
@@ -173,7 +184,7 @@ class TestClassifyFingerprintOnce:
 
     def test_stale_cache_raises_and_encodes_nothing(self, model, rng, monkeypatch):
         texts_encoded = self.count_calls(monkeypatch, "embed_text")
-        images_encoded = self.count_calls(monkeypatch, "embed_image")
+        images_encoded = self.count_calls(monkeypatch, "embed_images")
         stale = SemanticCache(model.text_fingerprint() ^ 0xDEAD)
         with pytest.raises(StaleCacheError):
             classify_image(model, rng.random((8, 8, 3)), TEXTS, cache=stale)

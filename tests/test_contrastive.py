@@ -210,8 +210,8 @@ class TestTrain:
         texts = sorted({t for _, t in pairs})
         text_emb = {t: model.embed_text(t) for t in texts}
         matched, mismatched = [], []
-        for img, text in pairs:
-            f = model.embed_image(img)
+        fvs = model.embed_images(np.stack([img for img, _ in pairs]))
+        for f, (_, text) in zip(fvs, pairs):
             for t in texts:
                 (matched if t == text else mismatched).append(float(f @ text_emb[t]))
         assert np.mean(matched) - np.mean(mismatched) >= 0.2
@@ -237,8 +237,8 @@ class TestCheckpoint:
 
         model.save(tmp_path / "ckpt")
         back = DualEncoderModel.load(tmp_path / "ckpt")
-        img = rng.random((8, 8, 3))
-        np.testing.assert_array_equal(model.embed_image(img), back.embed_image(img))
+        imgs = rng.random((2, 8, 8, 3))
+        np.testing.assert_array_equal(model.embed_images(imgs), back.embed_images(imgs))
         text = "a circular red sign with speed limit 40 km/h"
         np.testing.assert_array_equal(model.embed_text(text), back.embed_text(text))
         assert model.text_fingerprint() == back.text_fingerprint()
@@ -253,3 +253,32 @@ class TestCheckpoint:
         offsets = [e["offset"] for e in manifest["params"]]
         assert offsets == sorted(offsets)
         assert all({"name", "offset", "nbytes", "shape"} <= set(e) for e in manifest["params"])
+
+    def test_truncated_params_rejected_naming_entry(self, tmp_path, rng):
+        import json
+
+        from tsrmcl.contrastive import DualEncoderModel
+
+        model, _ = train(tiny_pairs(rng), tiny_config(epochs=1, seed=7))
+        model.save(tmp_path / "ckpt")
+        manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+        last = max(manifest["params"], key=lambda e: e["offset"])["name"]
+        bin_path = tmp_path / "ckpt" / "params.bin"
+        bin_path.write_bytes(bin_path.read_bytes()[:-100])
+        with pytest.raises(ContractError, match=f"params entry '{last}'.*outside"):
+            DualEncoderModel.load(tmp_path / "ckpt")
+
+    def test_edited_manifest_shape_rejected_naming_entry(self, tmp_path, rng):
+        import json
+
+        from tsrmcl.contrastive import DualEncoderModel
+
+        model, _ = train(tiny_pairs(rng), tiny_config(epochs=1, seed=7))
+        model.save(tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        entry = next(e for e in manifest["params"] if e["name"] == "pv.w")
+        entry["shape"] = entry["shape"][::-1] + [1]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ContractError, match="params entry 'pv.w'.*manifest says"):
+            DualEncoderModel.load(tmp_path / "ckpt")

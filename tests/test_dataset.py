@@ -53,6 +53,19 @@ class TestPPM:
         path.write_bytes(raw)
         np.testing.assert_array_equal(read_ppm(path), img)
 
+    @pytest.mark.parametrize("raw, detail", [
+        (b"P6\n2 2\n255\n" + bytes(11), "truncated PPM payload, 11 of 12 bytes"),
+        (b"P6\n2 2\n255", "truncated PPM payload, 0 of 12 bytes"),
+        (b"P6\n2 2\n", "integer width, height and maxval"),
+        (b"P6\n2 x\n255\n" + bytes(12), "integer width, height and maxval"),
+        (b"P6\n-2 2\n255\n" + bytes(12), "integer width, height and maxval"),
+    ], ids=["short-payload", "no-payload", "short-header", "non-integer", "negative"])
+    def test_malformed_rejected_naming_path(self, tmp_path, raw, detail):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(raw)
+        with pytest.raises(ContractError, match=f"^{path}: .*{detail}"):
+            read_ppm(path)
+
 
 class TestResize:
     def test_identity(self, rng):
@@ -115,6 +128,22 @@ class TestCropSigns:
         assert len(crops) == 1
         assert crops[0][1] == "y"
         assert "unreadable" in caplog.text
+
+    def test_truncated_scene_skipped_good_crops_returned(self, tmp_path, rng, caplog):
+        box = {"xmin": 1, "ymin": 1, "xmax": 3, "ymax": 4}
+        scenes = {f"s{i}": rng.integers(0, 256, size=(5, 6, 3)).astype(np.uint8) for i in range(3)}
+        for name, img in scenes.items():
+            write_ppm(tmp_path / f"{name}.ppm", img)
+        raw = (tmp_path / "s1.ppm").read_bytes()
+        (tmp_path / "s1.ppm").write_bytes(raw[:-7])
+        ann = {"imgs": {name: {"path": f"{name}.ppm", "objects": [{"category": name, "bbox": box}]}
+                        for name in scenes}}
+        with caplog.at_level(logging.WARNING):
+            crops = crop_signs(ann, image_root=tmp_path)
+        assert [c[1] for c in crops] == ["s0", "s2"]
+        for crop, name, _, _ in crops:
+            np.testing.assert_array_equal(crop, scenes[name][1:4, 1:3])
+        assert "s1.ppm" in caplog.text and "truncated PPM payload" in caplog.text
 
     def test_malformed_json_fatal_with_location(self, tmp_path):
         path = tmp_path / "ann.json"

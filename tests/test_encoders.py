@@ -8,9 +8,7 @@ from tsrmcl.encoders import (
     EncoderParams,
     TextEncoderConfig,
     ViTConfig,
-    encode_image,
     encode_images,
-    encode_text,
     encode_texts,
     init_projection_params,
     init_text_params,
@@ -45,20 +43,20 @@ class TestConfigs:
 class TestPatchify:
     def test_single_patch_is_flattened_image(self, rng):
         img = rng.normal(size=(4, 4, 2))
-        out = patchify(Tensor(img), 4)
-        assert out.shape == (1, 32)
-        np.testing.assert_array_equal(out.data[0], img.reshape(-1))
+        out = patchify(Tensor(img[None]), 4)
+        assert out.shape == (1, 1, 32)
+        np.testing.assert_array_equal(out.data[0, 0], img.reshape(-1))
 
     def test_hand_layout_4x4_ramp(self):
-        img = np.arange(16.0).reshape(4, 4, 1)
+        img = np.arange(16.0).reshape(1, 4, 4, 1)
         out = patchify(Tensor(img), 2).data
-        np.testing.assert_array_equal(out, [
+        np.testing.assert_array_equal(out[0], [
             [0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15],
         ])
 
     def test_reassembly_bijection(self, rng):
         img = rng.normal(size=(8, 8, 3))
-        out = patchify(Tensor(img), 2).data
+        out = patchify(Tensor(img[None]), 2).data[0]
         back = np.zeros_like(img)
         idx = 0
         for i in range(4):
@@ -69,21 +67,23 @@ class TestPatchify:
 
     def test_indivisible_rejected(self):
         with pytest.raises(DimensionError):
-            patchify(Tensor(np.zeros((5, 4, 1))), 2)
+            patchify(Tensor(np.zeros((1, 5, 4, 1))), 2)
+        with pytest.raises(DimensionError):  # an unbatched image is not auto-batched
+            patchify(Tensor(np.zeros((4, 4, 1))), 2)
 
     def test_batched_matches_single(self, rng):
         imgs = rng.normal(size=(3, 8, 8, 2))
         batched = patchify(Tensor(imgs), 4).data
         for i in range(3):
-            np.testing.assert_array_equal(batched[i], patchify(Tensor(imgs[i]), 4).data)
+            np.testing.assert_array_equal(batched[i], patchify(Tensor(imgs[i:i + 1]), 4).data[0])
 
 
 class TestEncodeImage:
     def test_deterministic(self, rng):
         params = init_vit_params(TOY_VIT, seed=3)
-        img = rng.random((8, 8, 1))
-        a = encode_image(Tensor(img), params).data
-        b = encode_image(Tensor(img), params).data
+        img = rng.random((1, 8, 8, 1))
+        a = encode_images(Tensor(img), params).data
+        b = encode_images(Tensor(img), params).data
         np.testing.assert_array_equal(a, b)
 
     def test_same_seed_same_params(self):
@@ -94,15 +94,17 @@ class TestEncodeImage:
 
     def test_shape_contract(self, rng):
         params = init_vit_params(TOY_VIT, seed=1)
-        out = encode_image(Tensor(rng.random((8, 8, 1))), params)
-        assert out.shape == (TOY_VIT.width,)
+        out = encode_images(Tensor(rng.random((1, 8, 8, 1))), params)
+        assert out.shape == (1, TOY_VIT.width)
         batch = encode_images(Tensor(rng.random((5, 8, 8, 1))), params)
         assert batch.shape == (5, TOY_VIT.width)
 
     def test_wrong_shape_rejected(self, rng):
         params = init_vit_params(TOY_VIT, seed=1)
         with pytest.raises(DimensionError):
-            encode_image(Tensor(rng.random((8, 6, 1))), params)
+            encode_images(Tensor(rng.random((1, 8, 6, 1))), params)
+        with pytest.raises(DimensionError):  # an unbatched image is not auto-batched
+            encode_images(Tensor(rng.random((8, 8, 1))), params)
 
     def test_zero_weights_degenerate_oracle(self, rng):
         """With every attention/MLP weight matrix zero, each sublayer
@@ -119,7 +121,7 @@ class TestEncodeImage:
             t[f"blk{i}.bo"] = Tensor(rng.normal(size=TOY_VIT.width))
             t[f"blk{i}.mlp.b2"] = Tensor(rng.normal(size=TOY_VIT.width))
         zeroed = EncoderParams(TOY_VIT, 2, t)
-        out = encode_image(Tensor(np.zeros((8, 8, 1))), zeroed).data
+        out = encode_images(Tensor(np.zeros((1, 8, 8, 1))), zeroed).data[0]
 
         row = t["cls"].data + sinusoidal_positions(TOY_VIT.n_patches + 1, TOY_VIT.width)[0]
         z = Tensor(row.reshape(1, 1, -1))
@@ -130,12 +132,12 @@ class TestEncodeImage:
 
     def test_gradient_wrt_image(self, rng):
         params = init_vit_params(TOY_VIT, seed=4)
-        img = rng.random((8, 8, 1))
+        img = rng.random((1, 8, 8, 1))
         t = Tensor(img, requires_grad=True)
-        f = encode_image(t, params)
+        f = encode_images(t, params)
         (f * f).sum().backward()
         numeric = numeric_gradient(
-            lambda arr: float((lambda v: (v * v).sum())(encode_image(Tensor(arr), params)).data),
+            lambda arr: float((lambda v: (v * v).sum())(encode_images(Tensor(arr), params)).data),
             img,
         )
         assert_gradients_close(t.grad, numeric)
@@ -148,18 +150,18 @@ class TestEncodeText:
     def test_minimal_sequence_finite_deterministic(self):
         params = init_text_params(TOY_TXT, seed=7)
         seq = self._seq([0, 1])  # [CLS][SEP]
-        a = encode_text(seq, params).data
-        b = encode_text(seq, params).data
+        a = encode_texts([seq], params).data
+        b = encode_texts([seq], params).data
         assert np.all(np.isfinite(a))
         np.testing.assert_array_equal(a, b)
-        assert a.shape == (TOY_TXT.width,)
+        assert a.shape == (1, TOY_TXT.width)
 
     def test_padding_invariance(self):
         params = init_text_params(TOY_TXT, seed=8)
         base = self._seq([0, 5, 6, 7, 1])
         padded = self._seq([0, 5, 6, 7, 1, 2, 2, 2])
-        a = encode_text(base, params).data
-        b = encode_text(padded, params).data
+        a = encode_texts([base], params).data
+        b = encode_texts([padded], params).data
         np.testing.assert_array_equal(a, b)
 
     def test_batch_matches_single_when_same_length(self):
@@ -167,7 +169,7 @@ class TestEncodeText:
         seqs = [self._seq([0, 5, 6, 1]), self._seq([0, 7, 8, 1])]
         batch = encode_texts(seqs, params).data
         for i, s in enumerate(seqs):
-            np.testing.assert_array_equal(batch[i], encode_text(s, params).data)
+            np.testing.assert_array_equal(batch[i], encode_texts([s], params).data[0])
 
     def test_single_token_attention_is_value_projection(self):
         """With one (unmasked) token, attention weights collapse to 1 and
@@ -178,7 +180,7 @@ class TestEncodeText:
         )
         t = params.tensors
         seq = self._seq([5])
-        out = encode_text(seq, params).data
+        out = encode_texts([seq], params).data[0]
         e = t["tok.w"].data[5] + sinusoidal_positions(1, 8)[0]
         v = e @ t["blk0.wv"].data + t["blk0.bv"].data
         attn = v @ t["blk0.wo"].data + t["blk0.bo"].data
@@ -189,32 +191,36 @@ class TestEncodeText:
     def test_overlong_rejected(self):
         params = init_text_params(TOY_TXT, seed=7)
         with pytest.raises(ContractError):
-            encode_text(self._seq([0] * 17), params)
+            encode_texts([self._seq([0] * 17)], params)
 
 
 class TestProjection:
     def test_identity_projection_of_unit_vector(self):
         d = 6
         params = {"w": Tensor(np.eye(d)), "b": Tensor(np.zeros(d))}
-        v = np.zeros(d)
-        v[2] = 1.0
+        v = np.zeros((1, d))
+        v[0, 2] = 1.0
         out = project_to_shared(Tensor(v), params)
         np.testing.assert_allclose(out.data, v, atol=1e-15)
 
     def test_unit_norm_100_random(self, rng):
         params = init_projection_params(6, 6, seed=11)
-        for _ in range(100):
-            out = project_to_shared(Tensor(rng.normal(size=6)), params)
-            assert abs(np.linalg.norm(out.data) - 1.0) <= 1e-12
+        out = project_to_shared(Tensor(rng.normal(size=(100, 6))), params)
+        assert np.all(np.abs(np.linalg.norm(out.data, axis=1) - 1.0) <= 1e-12)
 
     def test_zero_output_rejected(self):
         params = {"w": Tensor(np.zeros((4, 4))), "b": Tensor(np.zeros(4))}
         with pytest.raises(DegenerateInputError):
+            project_to_shared(Tensor(np.ones((1, 4))), params)
+
+    def test_unbatched_rejected(self):
+        params = init_projection_params(4, 4, seed=11)
+        with pytest.raises(DimensionError):
             project_to_shared(Tensor(np.ones(4)), params)
 
     def test_gradient_through_projection(self, rng):
         params = init_projection_params(5, 5, seed=12)
-        x = rng.normal(size=5)
+        x = rng.normal(size=(3, 5))
         t = Tensor(x, requires_grad=True)
         out = project_to_shared(t, params)
         (out * Tensor(np.arange(5.0))).sum().backward()

@@ -15,10 +15,8 @@ from tsrmcl.tensor import (
     concat,
     l2_normalize,
     layer_norm,
-    load_tensor,
     logsumexp,
     matmul,
-    save_tensor,
     softmax,
     tensor_from_bytes,
     tensor_to_bytes,
@@ -288,14 +286,6 @@ class TestAdam:
 
 
 class TestSerialization:
-    def test_round_trip_file(self, tmp_path, rng):
-        t = Tensor(rng.normal(size=(3, 4, 2)))
-        path = tmp_path / "t.bin"
-        save_tensor(t, path)
-        back = load_tensor(path)
-        assert back.shape == t.shape
-        np.testing.assert_array_equal(back.data, t.data)
-
     def test_header_layout_little_endian(self):
         t = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
         raw = tensor_to_bytes(t)
@@ -305,14 +295,17 @@ class TestSerialization:
         payload = np.frombuffer(raw, dtype="<f8", offset=24)
         np.testing.assert_array_equal(payload, [1.0, 2.0, 3.0, 4.0])
 
-    def test_multiple_tensors_in_one_buffer(self, rng):
-        a = Tensor(rng.normal(size=(2, 2)))
-        b = Tensor(rng.normal(size=5))
-        buf = tensor_to_bytes(a) + tensor_to_bytes(b)
-        a2, off = tensor_from_bytes(buf)
-        b2, _ = tensor_from_bytes(buf, off)
-        np.testing.assert_array_equal(a2.data, a.data)
-        np.testing.assert_array_equal(b2.data, b.data)
+    def test_multiple_tensors_in_one_buffer(self, tmp_path, rng):
+        tensors = [Tensor(rng.normal(size=s)) for s in ((2, 2), 5, (3, 4, 2))]
+        path = tmp_path / "t.bin"
+        path.write_bytes(b"".join(tensor_to_bytes(t) for t in tensors))
+        buf = path.read_bytes()
+        off = 0
+        for t in tensors:
+            back, off = tensor_from_bytes(buf, off)
+            assert back.shape == t.shape
+            np.testing.assert_array_equal(back.data, t.data)
+        assert off == len(buf)
 
 
 def test_directional_derivative_random_composite(rng):
