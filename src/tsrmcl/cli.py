@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 
@@ -116,7 +117,7 @@ def cmd_build_vocab(args) -> int:
 
 def cmd_tokenize(args) -> int:
     vocab = Vocab.load(args.vocab)
-    seq = tokenize(args.text, vocab, number_protection=not args.plain)
+    seq = tokenize(args.text, vocab)
     surfaces = [vocab.tokens[i] for i in seq.ids]
     doc = {
         "ids": list(seq.ids),
@@ -354,38 +355,20 @@ def cmd_ablate(args) -> int:
     )
     category_index = {cat: i for i, cat in enumerate(sorted(profile))}
 
-    rows = []
-    serial_cfg = TrainConfig(**{**config.__dict__, "number_protection": False})
-    row, _ = _run_ablation_row(
-        "serial-label baseline",
-        train_set, test_set,
-        lambda cat: f"category {category_index[cat]}",
-        serial_cfg, use_cache=False,
-    )
-    rows.append(row)
-    row, _ = _run_ablation_row(
-        "text-label classifier (plain BPE)",
-        train_set, test_set,
-        lambda cat: descriptions[cat],
-        serial_cfg, use_cache=False,
-    )
-    rows.append(row)
-    rule_cfg = TrainConfig(**{**config.__dict__, "number_protection": True})
-    row, trained = _run_ablation_row(
-        "rule tokenizer on",
-        train_set, test_set,
-        lambda cat: descriptions[cat],
-        rule_cfg, use_cache=False,
-    )
-    rows.append(row)
-    row, _ = _run_ablation_row(
-        "semantic cache on",
-        train_set, test_set,
-        lambda cat: descriptions[cat],
-        rule_cfg, use_cache=True,
-        reuse=trained,
-    )
-    rows.append(row)
+    plain_cfg = replace(config, number_protection=False)
+    rule_cfg = replace(config, number_protection=True)
+    # (row, class text of a category, config, cache on); the cache row reuses the model before it
+    ladder = [
+        ("serial-label baseline", lambda cat: f"category {category_index[cat]}", plain_cfg, False),
+        ("text-label classifier (plain BPE)", descriptions.__getitem__, plain_cfg, False),
+        ("rule tokenizer on", descriptions.__getitem__, rule_cfg, False),
+        ("semantic cache on", descriptions.__getitem__, rule_cfg, True),
+    ]
+    rows, trained = [], None
+    for name, class_text_of, cfg, use_cache in ladder:
+        row, trained = _run_ablation_row(name, train_set, test_set, class_text_of, cfg, use_cache,
+                                         reuse=trained if use_cache else None)
+        rows.append(row)
 
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "ablation.json"), "w", encoding="utf-8") as fh:
@@ -436,10 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plain", action="store_true", help="disable number protection")
     p.set_defaults(func=cmd_build_vocab)
 
-    p = sub.add_parser("tokenize", help="tokenize one text with a saved vocabulary")
+    p = sub.add_parser("tokenize", help="tokenize one text with a saved vocabulary "
+                       "under the number protection it was built with")
     p.add_argument("--vocab", required=True)
     p.add_argument("--text", required=True)
-    p.add_argument("--plain", action="store_true")
     p.set_defaults(func=cmd_tokenize)
 
     p = sub.add_parser("train", help="contrastively train the dual encoders")

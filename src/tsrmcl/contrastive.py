@@ -45,29 +45,28 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 UNIT_TOL = 1e-9
+TAU_CEILING = 100.0
 
 
 @dataclass
 class Temperature:
-    """Learnable temperature tau = exp(gamma), positive by construction.
-
-    ``ceiling`` caps tau to guard long runs against saturation-driven
-    overflow; the exp parameterization itself keeps tau > 0.
+    """Learnable temperature tau = min(exp(gamma), TAU_CEILING), positive
+    by construction; the module constant ``TAU_CEILING`` (100) guards long
+    runs against saturation-driven overflow.
     """
 
     gamma: Tensor
-    ceiling: float = 100.0
 
     @classmethod
-    def init(cls, gamma_init: float = math.log(14.0), ceiling: float = 100.0) -> "Temperature":
-        return cls(gamma=Tensor(gamma_init, requires_grad=True), ceiling=ceiling)
+    def init(cls, gamma_init: float = math.log(14.0)) -> "Temperature":
+        return cls(gamma=Tensor(gamma_init, requires_grad=True))
 
     def tau_tensor(self) -> Tensor:
-        return self.gamma.exp().minimum(Tensor(self.ceiling))
+        return self.gamma.exp().minimum(Tensor(TAU_CEILING))
 
     @property
     def tau(self) -> float:
-        return min(math.exp(float(self.gamma.data)), self.ceiling)
+        return min(math.exp(float(self.gamma.data)), TAU_CEILING)
 
 
 def similarity(fv: Tensor, ft: Tensor) -> Tensor:
@@ -138,8 +137,6 @@ class DualEncoderModel:
     proj_t: dict
     temperature: Temperature
     vocab: Vocab
-    number_protection: bool = True
-    seed: int = 0
 
     # flat parameter dict <-> structured views ---------------------------
 
@@ -158,14 +155,12 @@ class DualEncoderModel:
         vit_t = {k[4:]: v for k, v in flat.items() if k.startswith("vit.")}
         txt_t = {k[4:]: v for k, v in flat.items() if k.startswith("txt.")}
         return DualEncoderModel(
-            vit=EncoderParams(self.vit.config, self.vit.seed, vit_t),
-            text=EncoderParams(self.text.config, self.text.seed, txt_t),
+            vit=EncoderParams(self.vit.config, vit_t),
+            text=EncoderParams(self.text.config, txt_t),
             proj_v={"w": flat["pv.w"], "b": flat["pv.b"]},
             proj_t={"w": flat["pt.w"], "b": flat["pt.b"]},
-            temperature=Temperature(flat["gamma"], self.temperature.ceiling),
+            temperature=Temperature(flat["gamma"]),
             vocab=self.vocab,
-            number_protection=self.number_protection,
-            seed=self.seed,
         )
 
     # inference-side embedding ------------------------------------------
@@ -184,11 +179,8 @@ class DualEncoderModel:
         f = encode_images(Tensor(images), self.vit)
         return project_to_shared(f, self.proj_v).to_numpy()
 
-    def tokenize(self, text: str):
-        return tokenize(text, self.vocab, number_protection=self.number_protection)
-
     def embed_text(self, text: str) -> np.ndarray:
-        f = encode_texts([self.tokenize(text)], self.text)
+        f = encode_texts([tokenize(text, self.vocab)], self.text)
         return project_to_shared(f, self.proj_t).to_numpy()[0]
 
     def text_fingerprint(self) -> int:
@@ -202,7 +194,7 @@ class DualEncoderModel:
         for name in ("w", "b"):
             h.update(self.proj_t[name].data.tobytes())
         h.update(json.dumps(self.vocab.tokens, ensure_ascii=False).encode())
-        h.update(b"np1" if self.number_protection else b"np0")
+        h.update(b"np1" if self.vocab.number_protection else b"np0")
         return int.from_bytes(h.digest(), "little")
 
     # checkpointing -------------------------------------------------------
@@ -224,16 +216,9 @@ class DualEncoderModel:
             blob.extend(raw)
         with open(os.path.join(directory, "params.bin"), "wb") as fh:
             fh.write(bytes(blob))
-        vit_cfg: ViTConfig = self.vit.config
-        txt_cfg: TextEncoderConfig = self.text.config
         manifest = {
-            "vit_config": vit_cfg.__dict__,
-            "text_config": txt_cfg.__dict__,
-            "vit_seed": self.vit.seed,
-            "text_seed": self.text.seed,
-            "seed": self.seed,
-            "tau_ceiling": self.temperature.ceiling,
-            "number_protection": self.number_protection,
+            "vit_config": self.vit.config.__dict__,
+            "text_config": self.text.config.__dict__,
             "params": entries,
         }
         with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
@@ -242,6 +227,9 @@ class DualEncoderModel:
 
     @classmethod
     def load(cls, directory) -> "DualEncoderModel":
+        """Read a ``save``d checkpoint; ContractError names the first entry
+        that does not decode within ``params.bin`` or is missing, unexpected
+        or mis-shaped against a model built from the manifest's configs."""
         with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
             manifest = json.load(fh)
         with open(os.path.join(directory, "params.bin"), "rb") as fh:
@@ -271,16 +259,19 @@ class DualEncoderModel:
         vocab = Vocab.load(os.path.join(directory, "vocab.json"))
         vit_cfg = ViTConfig(**manifest["vit_config"])
         txt_cfg = TextEncoderConfig(**manifest["text_config"])
-        shell = cls(
-            vit=EncoderParams(vit_cfg, manifest["vit_seed"], {}),
-            text=EncoderParams(txt_cfg, manifest["text_seed"], {}),
-            proj_v={"w": flat["pv.w"], "b": flat["pv.b"]},
-            proj_t={"w": flat["pt.w"], "b": flat["pt.b"]},
-            temperature=Temperature(flat["gamma"], manifest["tau_ceiling"]),
-            vocab=vocab,
-            number_protection=manifest["number_protection"],
-            seed=manifest["seed"],
-        )
+        shell = _init_from_configs(vit_cfg, txt_cfg, vocab, seed=0, gamma_init=0.0)  # shapes only
+        expected = {name: t.shape for name, t in shell.flat_params().items()}
+        for name in sorted(expected.keys() | flat.keys()):
+            where = f"{directory}: params entry {name!r}"
+            if name not in flat:
+                raise ContractError(f"{where} is missing from the manifest")
+            if name not in expected:
+                raise ContractError(f"{where} is not a parameter of the manifest's configs")
+            if flat[name].shape != expected[name]:
+                raise ContractError(
+                    f"{where} has shape {list(flat[name].shape)}, "
+                    f"the manifest's configs need {list(expected[name])}"
+                )
         return shell.with_params(flat)
 
 
@@ -318,7 +309,6 @@ class TrainConfig:
     lr: float = 3e-4
     seed: int = 0
     gamma_init: float = math.log(14.0)
-    tau_ceiling: float = 100.0
     number_protection: bool = True
     vocab_target: int = 2048
     image_side: int = 32
@@ -334,6 +324,18 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ContractError("batch size must be >= 1")
+
+
+def _init_from_configs(vit_cfg: ViTConfig, txt_cfg: TextEncoderConfig, vocab: Vocab,
+                       seed: int, gamma_init: float) -> DualEncoderModel:
+    return DualEncoderModel(
+        vit=init_vit_params(vit_cfg, seed),
+        text=init_text_params(txt_cfg, seed + 1),
+        proj_v=init_projection_params(vit_cfg.width, vit_cfg.width, seed + 2),
+        proj_t=init_projection_params(txt_cfg.width, txt_cfg.width, seed + 3),
+        temperature=Temperature.init(gamma_init),
+        vocab=vocab,
+    )
 
 
 def init_model(config: TrainConfig, vocab: Vocab) -> DualEncoderModel:
@@ -354,16 +356,7 @@ def init_model(config: TrainConfig, vocab: Vocab) -> DualEncoderModel:
         heads=config.heads,
         pad_id=vocab.pad_id,
     )
-    return DualEncoderModel(
-        vit=init_vit_params(vit_cfg, config.seed),
-        text=init_text_params(txt_cfg, config.seed + 1),
-        proj_v=init_projection_params(config.width, config.width, config.seed + 2),
-        proj_t=init_projection_params(config.width, config.width, config.seed + 3),
-        temperature=Temperature.init(config.gamma_init, config.tau_ceiling),
-        vocab=vocab,
-        number_protection=config.number_protection,
-        seed=config.seed,
-    )
+    return _init_from_configs(vit_cfg, txt_cfg, vocab, config.seed, config.gamma_init)
 
 
 def train(pairs, config: TrainConfig):
@@ -382,7 +375,7 @@ def train(pairs, config: TrainConfig):
     vocab = build_vocab(texts, target_size=config.vocab_target,
                         number_protection=config.number_protection)
     model = init_model(config, vocab)
-    sequences = [tokenize(t, vocab, number_protection=config.number_protection) for t in texts]
+    sequences = [tokenize(t, vocab) for t in texts]
     images = np.stack([np.asarray(img, dtype=np.float64) for img, _ in pairs])
 
     params = model.flat_params()
@@ -393,7 +386,6 @@ def train(pairs, config: TrainConfig):
     for epoch in range(config.epochs):
         order = rng.permutation(len(pairs))
         total = 0.0
-        model = model.with_params(params)
         for start in range(0, len(pairs), config.batch_size):
             batch = order[start:start + config.batch_size]
             if len(batch) == 1:
@@ -413,7 +405,7 @@ def train(pairs, config: TrainConfig):
             total += float(loss.data) * len(batch)
         mean_loss = total / len(pairs)
         trace.append((epoch, mean_loss, model.temperature.tau))
-    return model.with_params(params), trace
+    return model, trace
 
 
 def write_loss_trace(path, trace) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ContractError
-from .metrics import strata_of
+from .metrics import _FIELD_ERRORS, _malformed, strata_of
 from .tokenizer import KnowledgeBase
 
 __all__ = [
@@ -217,13 +217,23 @@ def load_annotations(path) -> dict:
     return doc
 
 
+def _bbox_edge(obj, key: str, rounding) -> int:
+    raw = obj["bbox"][key]
+    try:
+        return int(rounding(float(raw)))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ContractError(f"bbox.{key} is not a finite number: {raw!r}") from exc
+
+
 def crop_signs(annotations: dict, image_root=None, images: dict | None = None):
     """One pixel-exact crop per annotated object.
 
     ``images`` maps image id to an in-memory array; otherwise each
     entry's ``path`` is read relative to ``image_root``. Out-of-bounds
     boxes are clamped with a warning; unreadable images are skipped per
-    item with a warning and the pipeline continues.
+    item with a warning and the pipeline continues. An object missing its
+    category or a bbox edge, or with a non-finite edge, raises
+    ContractError naming ``imgs[<id>].objects[<k>]`` and the field.
 
     Returns a list of (crop, category, image_id, object_index).
     """
@@ -241,11 +251,12 @@ def crop_signs(annotations: dict, image_root=None, images: dict | None = None):
                 continue
         h, w = img.shape[:2]
         for k, obj in enumerate(entry.get("objects", [])):
-            bb = obj["bbox"]
-            x0 = int(np.floor(float(bb["xmin"])))
-            y0 = int(np.floor(float(bb["ymin"])))
-            x1 = int(np.ceil(float(bb["xmax"])))
-            y1 = int(np.ceil(float(bb["ymax"])))
+            try:
+                x0, y0 = (_bbox_edge(obj, key, np.floor) for key in ("xmin", "ymin"))
+                x1, y1 = (_bbox_edge(obj, key, np.ceil) for key in ("xmax", "ymax"))
+                category = str(obj["category"])
+            except _FIELD_ERRORS as exc:
+                raise _malformed(f"imgs[{image_id}].objects[{k}]", exc) from exc
             cx0, cy0 = max(0, x0), max(0, y0)
             cx1, cy1 = min(w, x1), min(h, y1)
             if (cx0, cy0, cx1, cy1) != (x0, y0, x1, y1):
@@ -253,7 +264,7 @@ def crop_signs(annotations: dict, image_root=None, images: dict | None = None):
             if cx1 <= cx0 or cy1 <= cy0:
                 log.warning("dropping empty bbox %s of %s", obj["bbox"], image_id)
                 continue
-            crops.append((img[cy0:cy1, cx0:cx1].copy(), str(obj["category"]), image_id, k))
+            crops.append((img[cy0:cy1, cx0:cx1].copy(), category, image_id, k))
     return crops
 
 

@@ -74,10 +74,9 @@ class TextEncoderConfig:
 
 @dataclass
 class EncoderParams:
-    """Weight tensors plus the (config, seed) that reproduce them."""
+    """Weight tensors plus the config that shapes them."""
 
     config: object
-    seed: int
     tensors: dict[str, Tensor] = dc_field(default_factory=dict)
 
     def named(self, prefix: str) -> dict[str, Tensor]:
@@ -122,7 +121,7 @@ def init_vit_params(config: ViTConfig, seed: int) -> EncoderParams:
         t[f"blk{i}.mlp.b2"] = Tensor(np.zeros(d), requires_grad=True)
         t[f"blk{i}.ln2.g"] = Tensor(np.ones(d), requires_grad=True)
         t[f"blk{i}.ln2.b"] = Tensor(np.zeros(d), requires_grad=True)
-    return EncoderParams(config=config, seed=seed, tensors=t)
+    return EncoderParams(config=config, tensors=t)
 
 
 def init_text_params(config: TextEncoderConfig, seed: int) -> EncoderParams:
@@ -133,7 +132,7 @@ def init_text_params(config: TextEncoderConfig, seed: int) -> EncoderParams:
     for i in range(config.layers):
         for k, v in _attention_layer_params(d, rng).items():
             t[f"blk{i}.{k}"] = v
-    return EncoderParams(config=config, seed=seed, tensors=t)
+    return EncoderParams(config=config, tensors=t)
 
 
 def init_projection_params(d_in: int, d_out: int, seed: int) -> dict[str, Tensor]:

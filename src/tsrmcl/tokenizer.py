@@ -3,10 +3,10 @@ extraction, number protection, and BPE sub-word tokenization.
 
 The BPE here keeps whitespace as its own atomic symbol and learns
 merges strictly within words, so detokenization is a plain
-concatenation of token surfaces. Numeric literals are protected: each
-one is a single atomic token that merges can never split, and literals
-unseen at vocabulary-build time map to [NUM] with the surface kept in
-the sequence's protected spans.
+concatenation of token surfaces. Number protection is chosen once, by
+``build_vocab``, and the vocab carries it to ``tokenize``: each numeric
+literal is then one atomic token that merges never split, and literals
+unseen at build time map to [NUM], the surface kept in protected spans.
 """
 
 from __future__ import annotations
@@ -183,9 +183,13 @@ def parse_semantic_tuple(text: str, kb: KnowledgeBase) -> SemanticTuple:
 
 @dataclass
 class Vocab:
+    """BPE tokens and merges, reserved ids, and the number-protection
+    policy ``build_vocab`` was given, which ``tokenize`` applies."""
+
     tokens: list[str]
     merges: list[tuple[str, str]]
     reserved: dict[str, int] = field(default_factory=dict)
+    number_protection: bool = True
 
     def __post_init__(self):
         self.token_to_id = {t: i for i, t in enumerate(self.tokens)}
@@ -221,6 +225,7 @@ class Vocab:
             "tokens": self.tokens,
             "merges": [list(m) for m in self.merges],
             "reserved": self.reserved,
+            "number_protection": self.number_protection,
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, ensure_ascii=False, indent=1)
@@ -228,12 +233,16 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
+        """Read a saved vocab; no boolean number_protection raises ContractError."""
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc.get("number_protection"), bool):
+            raise ContractError(f"{path}: no boolean number_protection; rebuild the vocab")
         return cls(
             tokens=list(doc["tokens"]),
             merges=[tuple(m) for m in doc["merges"]],
             reserved={k: int(v) for k, v in doc["reserved"].items()},
+            number_protection=doc["number_protection"],
         )
 
 
@@ -367,15 +376,16 @@ def build_vocab(corpus, target_size: int = 2048, number_protection: bool = True)
 
     tokens = list(RESERVED) + base_tokens + [a + b for a, b in merges]
     reserved = {t: i for i, t in enumerate(RESERVED)}
-    return Vocab(tokens=tokens, merges=merges, reserved=reserved)
+    return Vocab(tokens, merges, reserved, number_protection)
 
 
-def tokenize(text: str, vocab: Vocab, number_protection: bool = True) -> TokenSequence:
-    """[CLS] + BPE tokens + [SEP]. Protected numeric spans come out as
-    their literal token when in vocab, else [NUM]; the literal always
-    survives in ``protected_spans``."""
+def tokenize(text: str, vocab: Vocab) -> TokenSequence:
+    """[CLS] + BPE tokens + [SEP]. If ``vocab.number_protection``, each
+    numeric span comes out as its literal token when in vocab, else [NUM],
+    and the literal survives in ``protected_spans``; if not, numbers split
+    like any word and ``protected_spans`` is empty."""
     norm = normalize(text)
-    spans = tuple(protect_numbers(norm)[1]) if number_protection else ()
+    spans = tuple(protect_numbers(norm)[1]) if vocab.number_protection else ()
     ids: list[int] = [vocab.cls_id]
     space_id = vocab.token_to_id.get(" ", vocab.unk_id)
     # normalize() leaves single spaces only, so one space token joins each word pair

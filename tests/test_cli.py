@@ -107,6 +107,18 @@ class TestVocabAndTokenize:
         assert doc["tokens"].count("40") == 1
         assert doc["detokenized"] == "speed limit 40 km/h"
 
+    def test_tokenize_follows_the_vocab_policy(self, pipeline, tmp_path, capsys):
+        _, _, data_dir, _ = pipeline
+        vocab = tmp_path / "plain" / "vocab.json"
+        assert run(["build-vocab", "--pairs", str(data_dir / "pairs.jsonl"),
+                    "--out", str(vocab.parent), "--plain"]) == 0
+        capsys.readouterr()
+        assert run(["tokenize", "--vocab", str(vocab), "--text", "speed limit 987.25 km/h"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert "[NUM]" not in doc["tokens"]
+        assert doc["protected_spans"] == []
+        assert run(["tokenize", "--vocab", str(vocab), "--text", "40", "--plain"]) == 2
+
 
 class TestTrainClassify:
     def test_train_outputs(self, pipeline):

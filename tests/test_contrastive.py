@@ -2,11 +2,13 @@
 softmax classification, and the training loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tsrmcl.contrastive import (
+    TAU_CEILING,
     Temperature,
     TrainConfig,
     classify,
@@ -36,7 +38,8 @@ class TestTemperature:
         assert t.tau == pytest.approx(14.0, rel=1e-12)
 
     def test_ceiling_caps_tau(self):
-        t = Temperature(Tensor(10.0, requires_grad=True), ceiling=100.0)
+        t = Temperature(Tensor(10.0, requires_grad=True))
+        assert TAU_CEILING == 100.0
         assert t.tau == 100.0
         assert float(t.tau_tensor().data) == 100.0
 
@@ -249,7 +252,7 @@ class TestCheckpoint:
         model, _ = train(tiny_pairs(rng), tiny_config(epochs=1, seed=7))
         model.save(tmp_path / "ckpt")
         manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
-        assert {"vit_config", "text_config", "seed", "params"} <= set(manifest)
+        assert set(manifest) == {"vit_config", "text_config", "params"}
         offsets = [e["offset"] for e in manifest["params"]]
         assert offsets == sorted(offsets)
         assert all({"name", "offset", "nbytes", "shape"} <= set(e) for e in manifest["params"])
@@ -267,6 +270,43 @@ class TestCheckpoint:
         bin_path.write_bytes(bin_path.read_bytes()[:-100])
         with pytest.raises(ContractError, match=f"params entry '{last}'.*outside"):
             DualEncoderModel.load(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda ps: [e for e in ps if e["name"] != "pv.w"], "'pv.w' is missing"),
+        (lambda ps: [e for e in ps if e["name"] != "vit.blk0.wq"], "'vit.blk0.wq' is missing"),
+        (lambda ps: ps + [{**ps[0], "name": "stray.w"}], "'stray.w' is not a parameter"),
+        (lambda ps: [{**e, "name": "pv.b"} if e["name"] == "gamma" else
+                     {**e, "name": "gamma"} if e["name"] == "pv.b" else e for e in ps],
+         r"'gamma' has shape \[16\]"),
+    ], ids=["drop-pv.w", "drop-vit-entry", "stray-entry", "swapped-shapes"])
+    def test_incomplete_manifest_rejected_naming_entry(self, tmp_path, edit, problem):
+        import json
+
+        from tsrmcl.contrastive import DualEncoderModel, init_model
+        from tsrmcl.tokenizer import build_vocab
+
+        init_model(tiny_config(), build_vocab(["a red sign", "a blue sign"])).save(tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["params"] = edit(manifest["params"])
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ContractError, match=f"params entry {problem}"):
+            DualEncoderModel.load(tmp_path / "ckpt")
+
+    def test_round_trip_keeps_plain_policy(self, tmp_path, rng):
+        import json
+
+        from tsrmcl.contrastive import DualEncoderModel
+
+        config = replace(tiny_config(epochs=1, seed=8), number_protection=False)
+        model, _ = train(tiny_pairs(rng), config)
+        model.save(tmp_path / "ckpt")
+        assert json.loads((tmp_path / "ckpt" / "vocab.json").read_text())["number_protection"] is False
+        back = DualEncoderModel.load(tmp_path / "ckpt")
+        assert back.vocab.number_protection is False
+        assert back.text_fingerprint() == model.text_fingerprint()
+        text = "speed limit 987.25 km/h"
+        np.testing.assert_array_equal(back.embed_text(text), model.embed_text(text))
 
     def test_edited_manifest_shape_rejected_naming_entry(self, tmp_path, rng):
         import json

@@ -3,6 +3,7 @@ stratified split, the synthetic generator, and statistics."""
 
 import json
 import logging
+import re
 from collections import Counter, OrderedDict
 
 import numpy as np
@@ -128,6 +129,23 @@ class TestCropSigns:
         assert len(crops) == 1
         assert crops[0][1] == "y"
         assert "unreadable" in caplog.text
+
+    @pytest.mark.parametrize("obj, field", [
+        ({"category": "x", "bbox": {"xmin": 0, "ymin": 0, "xmax": 2}}, "'ymax'"),
+        ({"category": "x", "bbox": {"xmin": 0, "ymin": "top", "xmax": 2, "ymax": 2}}, "bbox.ymin"),
+        ({"category": "x", "bbox": {"xmin": None, "ymin": 0, "xmax": 2, "ymax": 2}}, "bbox.xmin"),
+        ({"category": "x", "bbox": {"xmin": 0, "ymin": 0, "xmax": float("nan"), "ymax": 2}},
+         "bbox.xmax"),
+        ({"category": "x"}, "'bbox'"),
+        ({"bbox": {"xmin": 0, "ymin": 0, "xmax": 2, "ymax": 2}}, "'category'"),
+    ], ids=["missing-edge", "text-edge", "null-edge", "nan-edge", "no-bbox", "no-category"])
+    def test_malformed_object_rejected_naming_it(self, rng, obj, field):
+        img = rng.integers(0, 256, size=(4, 4, 3)).astype(np.uint8)
+        good = {"category": "y", "bbox": {"xmin": 0, "ymin": 0, "xmax": 2, "ymax": 2}}
+        ann = {"imgs": {"a": {"path": "", "objects": [good]},
+                        "b": {"path": "", "objects": [good, obj]}}}
+        with pytest.raises(ContractError, match=rf"imgs\[b\]\.objects\[1\]: .*{re.escape(field)}"):
+            crop_signs(ann, images={"a": img, "b": img})
 
     def test_truncated_scene_skipped_good_crops_returned(self, tmp_path, rng, caplog):
         box = {"xmin": 1, "ymin": 1, "xmax": 3, "ymax": 4}

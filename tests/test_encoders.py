@@ -120,7 +120,7 @@ class TestEncodeImage:
             # nonzero output biases so the oracle actually constrains them
             t[f"blk{i}.bo"] = Tensor(rng.normal(size=TOY_VIT.width))
             t[f"blk{i}.mlp.b2"] = Tensor(rng.normal(size=TOY_VIT.width))
-        zeroed = EncoderParams(TOY_VIT, 2, t)
+        zeroed = EncoderParams(TOY_VIT, t)
         out = encode_images(Tensor(np.zeros((1, 8, 8, 1))), zeroed).data[0]
 
         row = t["cls"].data + sinusoidal_positions(TOY_VIT.n_patches + 1, TOY_VIT.width)[0]

@@ -2,9 +2,11 @@
 semantic tuples, BPE merge learning, tokenization round trips."""
 
 import json
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tsrmcl.errors import ContractError
 from tsrmcl.tokenizer import (
@@ -255,9 +257,60 @@ class TestTokenize:
         plain_vocab = build_vocab(
             fuzz_descriptions(120, seed=5), target_size=512, number_protection=False
         )
-        seq = tokenize("speed limit 987.25 km/h", plain_vocab, number_protection=False)
+        seq = tokenize("speed limit 987.25 km/h", plain_vocab)
         assert plain_vocab.num_id not in seq.ids
         assert seq.protected_spans == ()
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@lru_cache(maxsize=None)
+def policy_vocab(number_protection):
+    return build_vocab(fuzz_descriptions(120, seed=5), target_size=512,
+                       number_protection=number_protection)
+
+
+@st.composite
+def vocab_texts(draw, vocab):
+    """Texts over the vocab's one-character symbols (either case), with
+    number literals and runs of whitespace between the words."""
+    symbols = sorted({t for t in vocab.tokens if len(t) == 1 and not t.isspace()})
+    chars = st.sampled_from(symbols + [c.upper() for c in symbols if c.isalpha()])
+    word = st.one_of(st.text(chars, min_size=1, max_size=8),
+                     st.from_regex(r"[0-9]{1,4}(\.[0-9]{1,2})?", fullmatch=True))
+    words = draw(st.lists(word, max_size=10))
+    gaps = draw(st.lists(st.sampled_from([" ", "  ", "\t", " \n "]),
+                         min_size=len(words), max_size=len(words)))
+    return "".join(g + w for g, w in zip(gaps, words))
+
+
+@PROPERTY
+@given(text=st.text(max_size=80))
+def test_normalize_idempotent_property(text):
+    assert normalize(normalize(text)) == normalize(text)
+
+
+@pytest.mark.parametrize("number_protection", [True, False], ids=["protected", "plain"])
+class TestProperties:
+    @PROPERTY
+    @given(data=st.data())
+    def test_detokenize_inverts_tokenize(self, number_protection, data):
+        vocab = policy_vocab(number_protection)
+        text = data.draw(vocab_texts(vocab))
+        assert detokenize(tokenize(text, vocab), vocab) == normalize(text)
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_numbers_are_one_token_under_protection(self, number_protection, data):
+        vocab = policy_vocab(number_protection)
+        text = data.draw(vocab_texts(vocab))
+        spans = tokenize(text, vocab).protected_spans
+        if not number_protection:
+            assert spans == ()
+            return
+        assert list(spans) == protect_numbers(normalize(text))[1]
+        assert_spans_never_split(text, vocab)
 
 
 class TestVocabFile:
@@ -266,11 +319,22 @@ class TestVocabFile:
         p = tmp_path / "vocab.json"
         v.save(p)
         doc = json.loads(p.read_text())
-        assert set(doc) == {"tokens", "merges", "reserved"}
+        assert set(doc) == {"tokens", "merges", "reserved", "number_protection"}
         loaded = Vocab.load(p)
         assert loaded.tokens == v.tokens
         assert loaded.merges == v.merges
         assert loaded.reserved == v.reserved
+        assert loaded.number_protection is True
+
+    def test_policy_round_trips_and_is_required(self, tmp_path):
+        p = tmp_path / "vocab.json"
+        build_vocab(["speed limit 40 km/h"], target_size=128, number_protection=False).save(p)
+        assert Vocab.load(p).number_protection is False
+        doc = json.loads(p.read_text())
+        del doc["number_protection"]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ContractError, match=str(p)):
+            Vocab.load(p)
 
     def test_missing_reserved_rejected(self):
         with pytest.raises(ContractError):
