@@ -151,13 +151,12 @@ def _train_config(args) -> TrainConfig:
         lr=args.lr,
         seed=args.seed,
         gamma_init=args.gamma_init,
-        number_protection=not args.plain,
         image_side=args.image_side,
     )
 
 
 def cmd_train(args) -> int:
-    config = _train_config(args)
+    config = replace(_train_config(args), number_protection=not args.plain)
     images, texts, cats = _load_split(args.pairs, "train", config.image_side)
     if not images:
         raise ContractError(f"no train pairs found in {args.pairs}")
@@ -429,6 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True)
     p.add_argument("--out", required=True)
     _add_train_flags(p)
+    p.add_argument("--plain", action="store_true", help="disable the rule tokenizer")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("classify", help="classify split images against class texts")
@@ -478,7 +478,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--gamma-init", type=float, default=float(np.log(14.0)))
     p.add_argument("--image-side", type=int, default=32)
-    p.add_argument("--plain", action="store_true", help="disable the rule tokenizer")
 
 
 def run(argv=None) -> int:

@@ -10,10 +10,12 @@ import json
 import logging
 import math
 import os
-import struct
+import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .errors import ContractError, DimensionError
 from .encoders import (
@@ -27,7 +29,7 @@ from .encoders import (
     init_vit_params,
     project_to_shared,
 )
-from .tensor import AdamState, Tensor, adam_step, logsumexp, matmul, tensor_from_bytes, tensor_to_bytes
+from .tensor import AdamState, Tensor, adam_step, logsumexp, matmul
 from .tokenizer import Vocab, build_vocab, tokenize
 
 __all__ = [
@@ -200,79 +202,96 @@ class DualEncoderModel:
     # checkpointing -------------------------------------------------------
 
     def save(self, directory) -> None:
+        """Write three files into ``directory``: ``manifest.json`` (the
+        ``vit_config`` and ``text_config`` the parameter shapes follow
+        from), ``params.npz`` (every ``flat_params`` entry by name, float64,
+        uncompressed) and ``vocab.json``."""
         os.makedirs(directory, exist_ok=True)
-        flat = self.flat_params()
-        names = sorted(flat)
-        blob = bytearray()
-        entries = []
-        for name in names:
-            raw = tensor_to_bytes(flat[name])
-            entries.append({
-                "name": name,
-                "offset": len(blob),
-                "nbytes": len(raw),
-                "shape": list(flat[name].shape),
-            })
-            blob.extend(raw)
-        with open(os.path.join(directory, "params.bin"), "wb") as fh:
-            fh.write(bytes(blob))
-        manifest = {
-            "vit_config": self.vit.config.__dict__,
-            "text_config": self.text.config.__dict__,
-            "params": entries,
-        }
+        np.savez(os.path.join(directory, "params.npz"),
+                 **{name: t.data for name, t in sorted(self.flat_params().items())})
+        manifest = {"vit_config": self.vit.config.__dict__, "text_config": self.text.config.__dict__}
         with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=1)
         self.vocab.save(os.path.join(directory, "vocab.json"))
 
     @classmethod
     def load(cls, directory) -> "DualEncoderModel":
-        """Read a ``save``d checkpoint; ContractError names the first entry
-        that does not decode within ``params.bin`` or is missing, unexpected
-        or mis-shaped against a model built from the manifest's configs."""
+        """Read a checkpoint written by ``save``.
+
+        Raises ContractError naming the file and, where one is at fault,
+        the config key or ``params.npz`` entry, when:
+        - a manifest config has a key its class lacks, or lacks a required one;
+        - ``vocab.json`` fails ``Vocab.load`` or its size is not
+          ``text_config.vocab_size``;
+        - ``params.npz`` is absent, not a zip archive, or truncated;
+        - an entry is missing, or is not a parameter of the model the
+          configs build;
+        - an entry's header declares a dtype other than float64 or another
+          shape (checked before its payload is read);
+        - an entry fails its zip CRC-32, is cut short, or holds a NaN or inf.
+        An absent or unparsable ``manifest.json`` raises OSError or
+        ValueError, and one without ``vit_config``/``text_config`` KeyError.
+        """
         with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
             manifest = json.load(fh)
-        with open(os.path.join(directory, "params.bin"), "rb") as fh:
-            blob = fh.read()
-        flat: dict[str, Tensor] = {}
-        view = memoryview(blob)
-        for entry in manifest["params"]:
-            where = f"{directory}: params entry {entry.get('name')!r}"
-            offset, nbytes = entry.get("offset"), entry.get("nbytes")
-            if not (isinstance(offset, int) and isinstance(nbytes, int)
-                    and 0 <= offset <= offset + nbytes <= len(blob)):
-                raise ContractError(
-                    f"{where}: offset {offset!r} + nbytes {nbytes!r} lies outside "
-                    f"the {len(blob)}-byte params.bin"
-                )
-            try:
-                t, end = tensor_from_bytes(view[offset:offset + nbytes])
-            except (struct.error, ValueError) as exc:
-                raise ContractError(f"{where}: undecodable tensor: {exc}") from exc
-            if end != nbytes or list(t.shape) != entry.get("shape"):
-                raise ContractError(
-                    f"{where}: decodes to shape {list(t.shape)} in {end} bytes, "
-                    f"manifest says {entry.get('shape')} in {nbytes}"
-                )
-            t.requires_grad = True
-            flat[entry["name"]] = t
-        vocab = Vocab.load(os.path.join(directory, "vocab.json"))
-        vit_cfg = ViTConfig(**manifest["vit_config"])
-        txt_cfg = TextEncoderConfig(**manifest["text_config"])
+        vit_cfg = _config_from(manifest, "vit_config", ViTConfig, directory)
+        txt_cfg = _config_from(manifest, "text_config", TextEncoderConfig, directory)
+        vocab_path = os.path.join(directory, "vocab.json")
+        vocab = Vocab.load(vocab_path)
+        if len(vocab) != txt_cfg.vocab_size:
+            raise ContractError(f"{vocab_path} holds {len(vocab)} tokens, "
+                                f"text_config.vocab_size is {txt_cfg.vocab_size}")
         shell = _init_from_configs(vit_cfg, txt_cfg, vocab, seed=0, gamma_init=0.0)  # shapes only
-        expected = {name: t.shape for name, t in shell.flat_params().items()}
-        for name in sorted(expected.keys() | flat.keys()):
-            where = f"{directory}: params entry {name!r}"
-            if name not in flat:
-                raise ContractError(f"{where} is missing from the manifest")
-            if name not in expected:
-                raise ContractError(f"{where} is not a parameter of the manifest's configs")
-            if flat[name].shape != expected[name]:
-                raise ContractError(
-                    f"{where} has shape {list(flat[name].shape)}, "
-                    f"the manifest's configs need {list(expected[name])}"
-                )
-        return shell.with_params(flat)
+        shapes = {name: t.shape for name, t in shell.flat_params().items()}
+        return shell.with_params(_read_params(os.path.join(directory, "params.npz"), shapes))
+
+
+def _config_from(manifest: dict, key: str, config_cls, directory):
+    try:
+        return config_cls(**manifest[key])
+    except TypeError as exc:  # unknown or missing keyword, or not an object
+        raise ContractError(f"{directory}: manifest {key}: {exc}") from exc
+
+
+_DECODE_ERRORS = (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error)
+
+
+def _read_params(path, shapes: dict) -> dict[str, Tensor]:
+    """The entries of ``params.npz``, each checked against ``shapes`` and
+    read by numpy's ``.npy`` reader with ``allow_pickle=False``. Each header
+    is checked before its payload is read, so a header that declares a
+    huge shape is refused without allocating it."""
+    try:
+        archive = zipfile.ZipFile(path)
+    except _DECODE_ERRORS as exc:
+        raise ContractError(f"{path}: not a readable .npz archive: {exc}") from exc
+    flat: dict[str, Tensor] = {}
+    with archive:
+        odd = sorted(shapes.keys() ^ {member.removesuffix(".npy") for member in archive.namelist()})
+        if odd:
+            problem = "is missing" if odd[0] in shapes else "is not a parameter of the manifest's configs"
+            raise ContractError(f"{path}: entry {odd[0]!r} {problem}")
+        for name, shape in shapes.items():
+            where = f"{path}: entry {name!r}"
+            try:
+                with archive.open(f"{name}.npy") as fh:
+                    major, _ = npy_format.read_magic(fh)
+                    read_header = (npy_format.read_array_header_1_0 if major == 1
+                                   else npy_format.read_array_header_2_0)
+                    declared, _, dtype = read_header(fh)
+                if dtype != np.float64 or declared != shape:
+                    raise ContractError(f"{where} declares {dtype} {list(declared)}, "
+                                        f"the manifest's configs need float64 {list(shape)}")
+                with archive.open(f"{name}.npy") as fh:
+                    data = npy_format.read_array(fh, allow_pickle=False)
+            except ContractError:
+                raise
+            except _DECODE_ERRORS as exc:
+                raise ContractError(f"{where} does not decode: {exc}") from exc
+            if not np.all(np.isfinite(data)):
+                raise ContractError(f"{where} holds non-finite values")
+            flat[name] = Tensor(data, requires_grad=True)
+    return flat
 
 
 def classify_image(model: DualEncoderModel, image, class_texts, cache=None) -> np.ndarray:

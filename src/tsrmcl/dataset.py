@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ContractError
-from .metrics import _FIELD_ERRORS, _malformed, strata_of
+from .metrics import _FIELD_ERRORS, _as_object, _malformed, strata_of
 from .tokenizer import KnowledgeBase
 
 __all__ = [
@@ -166,6 +166,8 @@ def pairs_to_jsonl(pairs, path) -> None:
 
 
 def pairs_from_jsonl(path) -> list[PairRecord]:
+    """JSON lines of {image, category, text[, split]}; a malformed line
+    raises ContractError naming ``path:line``."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -173,11 +175,11 @@ def pairs_from_jsonl(path) -> list[PairRecord]:
             if not line:
                 continue
             try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ContractError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-            out.append(PairRecord(row["image"], row["category"], row["text"],
-                                  row.get("split", "")))
+                row = _as_object(json.loads(line))
+                out.append(PairRecord(row["image"], row["category"], row["text"],
+                                      row.get("split", "")))
+            except _FIELD_ERRORS as exc:
+                raise _malformed(f"{path}:{lineno}", exc) from exc
     return out
 
 

@@ -9,7 +9,6 @@ reverse topological order.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +26,6 @@ __all__ = [
     "l2_normalize",
     "concat",
     "uniform_init",
-    "tensor_to_bytes",
-    "tensor_from_bytes",
 ]
 
 
@@ -482,22 +479,25 @@ def uniform_init(shape, fan_in: int, rng: np.random.Generator, requires_grad: bo
 # -- Adam ------------------------------------------------------------------
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Bias-corrected Adam moments for a named parameter set."""
+    """Bias-corrected Adam moments for a named parameter set; the decay
+    rates and epsilon are the module constants ``ADAM_BETA1`` (0.9),
+    ``ADAM_BETA2`` (0.999) and ``ADAM_EPS`` (1e-8)."""
 
     lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: dict, lr: float = 3e-4, beta1: float = 0.9,
-                   beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    def for_params(cls, params: dict, lr: float = 3e-4) -> "AdamState":
+        state = cls(lr=lr)
         for name, p in params.items():
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
@@ -508,10 +508,9 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamSt
     """One deterministic Adam update. Pure: returns fresh params and state."""
     t = state.step + 1
     new_params: dict = {}
-    new_state = AdamState(lr=state.lr, beta1=state.beta1, beta2=state.beta2,
-                          eps=state.eps, step=t)
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    new_state = AdamState(lr=state.lr, step=t)
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -521,40 +520,13 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamSt
             raise DimensionError(
                 f"gradient shape {g.shape} does not match parameter '{name}' shape {p.data.shape}"
             )
-        m = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
+        m = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
         mhat = m / bc1
         vhat = v / bc2
-        new_data = p.data - state.lr * mhat / (np.sqrt(vhat) + state.eps)
+        new_data = p.data - state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
         new_state.m[name] = m
         new_state.v[name] = v
         new_params[name] = Tensor(new_data, requires_grad=p.requires_grad)
     return new_params, new_state
 
-
-# -- serialization ---------------------------------------------------------
-
-_HEADER_U64 = struct.Struct("<Q")
-
-
-def tensor_to_bytes(t: Tensor) -> bytes:
-    """Flat little-endian encoding: rank, dims (u64 each), f64 payload."""
-    parts = [_HEADER_U64.pack(t.ndim)]
-    parts.extend(_HEADER_U64.pack(d) for d in t.shape)
-    parts.append(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-    return b"".join(parts)
-
-
-def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
-    """Decode one tensor; returns (tensor, next offset)."""
-    (rank,) = _HEADER_U64.unpack_from(buf, offset)
-    offset += 8
-    dims = []
-    for _ in range(rank):
-        (d,) = _HEADER_U64.unpack_from(buf, offset)
-        dims.append(int(d))
-        offset += 8
-    count = int(np.prod(dims)) if dims else 1
-    data = np.frombuffer(buf, dtype="<f8", count=count, offset=offset).reshape(dims)
-    offset += count * 8
-    return Tensor(np.array(data)), offset

@@ -3,6 +3,7 @@ pixel-rasterization oracle and finite differences."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tsrmcl.boxes import (
     BBox,
@@ -187,3 +188,33 @@ class TestTensorPathAgreement:
                 lambda c: float(inner_wiou_t(Tensor(c), gt, 0.75, 1.0).data), corners
             )
             assert_gradients_close(pred.grad, numeric)
+
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def boxes(draw):
+    """Valid boxes on a small canvas, so that pairs often overlap."""
+    coord = st.floats(-50.0, 50.0, allow_nan=False)
+    extent = st.floats(1e-3, 60.0, allow_nan=False)
+    x0, y0 = draw(coord), draw(coord)
+    return BBox(x0, y0, x0 + draw(extent), y0 + draw(extent))
+
+
+class TestIoUProperties:
+    @PROPERTY
+    @given(a=boxes(), b=boxes())
+    def test_symmetric_and_bounded(self, a, b):
+        assert iou(a, b) == iou(b, a)
+        assert 0.0 <= iou(a, b) <= 1.0
+
+    @PROPERTY
+    @given(a=boxes())
+    def test_self_iou_is_one(self, a):
+        assert iou(a, a) == 1.0
+
+    @PROPERTY
+    @given(a=boxes(), b=boxes())
+    def test_tensor_path_agrees(self, a, b):
+        assert abs(float(iou_t(a, b).data) - iou(a, b)) <= 1e-12

@@ -3,6 +3,7 @@ dispatch/exit-code contract."""
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -43,6 +44,9 @@ class TestDispatch:
 
     def test_missing_required_flag_usage_error(self):
         assert run(["synth"]) == 2
+
+    def test_ablate_has_no_plain_flag(self, tmp_path):
+        assert run(["ablate", "--out", str(tmp_path), "--plain"]) == 2
 
     @pytest.mark.parametrize("pred_line", [None, "[1, 2, 3]"],
                              ids=["missing-files", "non-object-prediction"])
@@ -124,7 +128,7 @@ class TestTrainClassify:
     def test_train_outputs(self, pipeline):
         _, _, _, model_dir = pipeline
         assert (model_dir / "checkpoint" / "manifest.json").exists()
-        assert (model_dir / "checkpoint" / "params.bin").exists()
+        assert (model_dir / "checkpoint" / "params.npz").exists()
         assert (model_dir / "checkpoint" / "vocab.json").exists()
         assert (model_dir / "checkpoint" / "classes.json").exists()
         trace = (model_dir / "loss_trace.csv").read_text().splitlines()
@@ -141,6 +145,20 @@ class TestTrainClassify:
         assert report["split"] == "test"
         assert 0.0 <= report["top1_accuracy"] <= 1.0
         assert report["cache"]["misses"] >= 1
+
+    def test_classify_bad_checkpoint_is_one(self, pipeline, tmp_path, capsys):
+        _, _, data_dir, model_dir = pipeline
+        broken = tmp_path / "model"
+        shutil.copytree(model_dir, broken)
+        manifest_path = broken / "checkpoint" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["text_config"]["bogus"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run(["classify", "--model", str(broken), "--pairs", str(data_dir / "pairs.jsonl"),
+                    "--out", str(tmp_path / "cls")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "text_config" in err and "'bogus'" in err
 
     def test_classify_no_cache_matches_cached(self, pipeline, tmp_path):
         _, _, data_dir, model_dir = pipeline

@@ -1,24 +1,34 @@
 """Similarity matrix, temperature, bidirectional contrastive loss,
-softmax classification, and the training loop."""
+softmax classification, the training loop, and the checkpoint."""
 
+import io
+import json
 import math
+import struct
+import zipfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.lib import format as npy_format
 
+from tsrmcl.cache import SemanticCache
 from tsrmcl.contrastive import (
     TAU_CEILING,
+    DualEncoderModel,
     Temperature,
     TrainConfig,
     classify,
+    classify_image,
     contrastive_loss,
+    init_model,
     similarity,
     train,
     write_loss_trace,
 )
 from tsrmcl.errors import ContractError, DimensionError
 from tsrmcl.tensor import Tensor
+from tsrmcl.tokenizer import build_vocab
 
 from conftest import assert_gradients_close, numeric_gradient
 
@@ -233,71 +243,169 @@ class TestTrain:
         assert len(lines) == 3
 
 
+def saved_checkpoint(tmp_path):
+    ckpt = tmp_path / "ckpt"
+    init_model(tiny_config(), build_vocab(["a red sign", "a blue sign"])).save(ckpt)
+    return ckpt
+
+
+def rewrite_params(ckpt, edit):
+    """Re-save ``params.npz`` with ``edit`` applied to its {name: array} dict."""
+    path = ckpt / "params.npz"
+    with np.load(path) as npz:
+        entries = {name: npz[name] for name in npz.files}
+    np.savez(path, **edit(entries))
+
+
+def replace_member(ckpt, name, raw: bytes, member=None):
+    """Swap entry ``name`` of ``params.npz`` for a member (``name.npy`` by
+    default) holding ``raw`` bytes; the zip stays well formed, CRC-32
+    included."""
+    rewrite_params(ckpt, lambda es: {k: v for k, v in es.items() if k != name})
+    with zipfile.ZipFile(ckpt / "params.npz", "a") as zf:
+        zf.writestr(member or f"{name}.npy", raw)
+
+
+def npy_bytes(array=None, header=None) -> bytes:
+    buf = io.BytesIO()
+    if header is None:
+        npy_format.write_array(buf, array)
+    else:
+        npy_format.write_array_header_1_0(buf, header)
+    return buf.getvalue()
+
+
 class TestCheckpoint:
     def test_save_load_round_trip(self, tmp_path, rng):
         model, _ = train(tiny_pairs(rng), tiny_config(epochs=2, seed=6))
-        from tsrmcl.contrastive import DualEncoderModel
-
         model.save(tmp_path / "ckpt")
         back = DualEncoderModel.load(tmp_path / "ckpt")
         imgs = rng.random((2, 8, 8, 3))
-        np.testing.assert_array_equal(model.embed_images(imgs), back.embed_images(imgs))
-        text = "a circular red sign with speed limit 40 km/h"
-        np.testing.assert_array_equal(model.embed_text(text), back.embed_text(text))
+        assert model.embed_images(imgs).tobytes() == back.embed_images(imgs).tobytes()
+        texts = [t for _, t in tiny_pairs(rng)[:3]]
+        for text in texts:
+            assert model.embed_text(text).tobytes() == back.embed_text(text).tobytes()
         assert model.text_fingerprint() == back.text_fingerprint()
 
-    def test_manifest_has_offsets(self, tmp_path, rng):
-        import json
+        def probs(m):  # cache off, then on
+            return [classify_image(m, imgs[0], texts, cache).tobytes()
+                    for cache in (None, SemanticCache(m.text_fingerprint()))]
 
+        assert probs(back) == probs(model)
+        assert len(set(probs(back))) == 1
+
+    def test_manifest_holds_only_configs(self, tmp_path, rng):
         model, _ = train(tiny_pairs(rng), tiny_config(epochs=1, seed=7))
         model.save(tmp_path / "ckpt")
+        assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == [
+            "manifest.json", "params.npz", "vocab.json"]
         manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
-        assert set(manifest) == {"vit_config", "text_config", "params"}
-        offsets = [e["offset"] for e in manifest["params"]]
-        assert offsets == sorted(offsets)
-        assert all({"name", "offset", "nbytes", "shape"} <= set(e) for e in manifest["params"])
+        assert set(manifest) == {"vit_config", "text_config"}
+        with np.load(tmp_path / "ckpt" / "params.npz") as npz:
+            assert sorted(npz.files) == sorted(model.flat_params())
+            assert {npz[name].dtype for name in npz.files} == {np.dtype(np.float64)}
 
-    def test_truncated_params_rejected_naming_entry(self, tmp_path, rng):
-        import json
-
-        from tsrmcl.contrastive import DualEncoderModel
-
-        model, _ = train(tiny_pairs(rng), tiny_config(epochs=1, seed=7))
-        model.save(tmp_path / "ckpt")
-        manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
-        last = max(manifest["params"], key=lambda e: e["offset"])["name"]
-        bin_path = tmp_path / "ckpt" / "params.bin"
-        bin_path.write_bytes(bin_path.read_bytes()[:-100])
-        with pytest.raises(ContractError, match=f"params entry '{last}'.*outside"):
-            DualEncoderModel.load(tmp_path / "ckpt")
+    def test_truncated_params_rejected_naming_entry(self, tmp_path):
+        """An entry cut short inside a well-formed zip."""
+        ckpt = saved_checkpoint(tmp_path)
+        with np.load(ckpt / "params.npz") as npz:
+            raw = npy_bytes(npz["pv.w"])
+        replace_member(ckpt, "pv.w", raw[:-8])
+        with pytest.raises(ContractError, match=r"params\.npz: entry 'pv\.w' does not decode"):
+            DualEncoderModel.load(ckpt)
 
     @pytest.mark.parametrize("edit, problem", [
-        (lambda ps: [e for e in ps if e["name"] != "pv.w"], "'pv.w' is missing"),
-        (lambda ps: [e for e in ps if e["name"] != "vit.blk0.wq"], "'vit.blk0.wq' is missing"),
-        (lambda ps: ps + [{**ps[0], "name": "stray.w"}], "'stray.w' is not a parameter"),
-        (lambda ps: [{**e, "name": "pv.b"} if e["name"] == "gamma" else
-                     {**e, "name": "gamma"} if e["name"] == "pv.b" else e for e in ps],
-         r"'gamma' has shape \[16\]"),
+        (lambda es: {k: v for k, v in es.items() if k != "pv.w"}, "'pv.w' is missing"),
+        (lambda es: {k: v for k, v in es.items() if k != "vit.blk0.wq"}, "'vit.blk0.wq' is missing"),
+        (lambda es: {**es, "stray.w": es["pv.b"]}, "'stray.w' is not a parameter"),
+        (lambda es: {**es, "pv.b": es["gamma"], "gamma": es["pv.b"]},
+         r"'pv.b' declares float64 \[\]"),
     ], ids=["drop-pv.w", "drop-vit-entry", "stray-entry", "swapped-shapes"])
     def test_incomplete_manifest_rejected_naming_entry(self, tmp_path, edit, problem):
-        import json
+        """The entry list of ``params.npz`` must be exactly the parameters
+        of the model the manifest's configs build."""
+        ckpt = saved_checkpoint(tmp_path)
+        rewrite_params(ckpt, edit)
+        with pytest.raises(ContractError, match=rf"params\.npz: entry {problem}"):
+            DualEncoderModel.load(ckpt)
 
-        from tsrmcl.contrastive import DualEncoderModel, init_model
-        from tsrmcl.tokenizer import build_vocab
+    @pytest.mark.parametrize("raw, member, problem", [
+        (lambda a: npy_bytes(a.astype(np.int64)), None, r"declares int64 \[16\]"),
+        (lambda a: npy_bytes(np.array([None] * 16, dtype=object)), None, r"declares object \[16\]"),
+        (lambda a: npy_bytes(np.where(np.arange(16) == 3, np.nan, a)), None,
+         "holds non-finite values"),
+        (lambda a: npy_bytes(header={"descr": "<f8", "fortran_order": False, "shape": (10**12,)})
+         + a.tobytes(), None, r"declares float64 \[1000000000000\]"),
+        (lambda a: b"\x93NUMPY\x01\x00garbage", None, "does not decode"),
+        (npy_bytes, "pv.b", "does not decode"),
+    ], ids=["int64", "object", "nan", "huge-header", "bad-header", "no-npy-suffix"])
+    def test_bad_entry_rejected_naming_it(self, tmp_path, raw, member, problem):
+        ckpt = saved_checkpoint(tmp_path)
+        with np.load(ckpt / "params.npz") as npz:
+            original = npz["pv.b"]
+        replace_member(ckpt, "pv.b", raw(original), member)
+        with pytest.raises(ContractError, match=rf"params\.npz: entry 'pv\.b' {problem}"):
+            DualEncoderModel.load(ckpt)
 
-        init_model(tiny_config(), build_vocab(["a red sign", "a blue sign"])).save(tmp_path / "ckpt")
-        manifest_path = tmp_path / "ckpt" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["params"] = edit(manifest["params"])
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(ContractError, match=f"params entry {problem}"):
-            DualEncoderModel.load(tmp_path / "ckpt")
+    def test_flipped_payload_byte_rejected_naming_entry(self, tmp_path):
+        ckpt = saved_checkpoint(tmp_path)
+        path = ckpt / "params.npz"
+        with np.load(path) as npz:
+            payload = npz["pv.w"].tobytes()
+        blob = bytearray(path.read_bytes())
+        at = blob.find(payload)
+        assert at > 0 and blob.find(payload, at + 1) == -1
+        blob[at] ^= 1  # lowest mantissa bit of the first weight: still finite
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ContractError, match=r"params\.npz: entry 'pv\.w' does not decode.*CRC"):
+            DualEncoderModel.load(ckpt)
+
+    def test_corrupt_compressed_entry_rejected_naming_it(self, tmp_path):
+        """A damaged deflate stream fails in zlib before any CRC is seen."""
+        ckpt = saved_checkpoint(tmp_path)
+        path = ckpt / "params.npz"
+        with np.load(path) as npz:
+            np.savez_compressed(path, **{name: npz[name] for name in npz.files})
+        with zipfile.ZipFile(path) as zf:
+            offset = zf.getinfo("vit.patch.w.npy").header_offset
+        blob = bytearray(path.read_bytes())
+        name_len, extra_len = struct.unpack_from("<HH", blob, offset + 26)  # local file header
+        blob[offset + 30 + name_len + extra_len] ^= 0xFF  # first byte of the deflate stream
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ContractError, match=r"params\.npz: entry 'vit\.patch\.w' does not decode"):
+            DualEncoderModel.load(ckpt)
+
+    @pytest.mark.parametrize("damage", [
+        lambda path: path.write_bytes(path.read_bytes()[:-100]),
+        lambda path: path.write_bytes(b"not a zip archive"),
+        lambda path: (path.unlink(), (path.parent / "params.bin").write_bytes(bytes(64))),
+        lambda path: path.write_bytes(npy_bytes(np.zeros(3))),
+    ], ids=["truncated", "not-a-zip", "params-bin-only", "bare-npy"])
+    def test_unreadable_archive_rejected_naming_it(self, tmp_path, damage):
+        ckpt = saved_checkpoint(tmp_path)
+        damage(ckpt / "params.npz")
+        with pytest.raises(ContractError, match=r"params\.npz: not a readable \.npz archive"):
+            DualEncoderModel.load(ckpt)
+
+    @pytest.mark.parametrize("key", ["vit_config", "text_config"])
+    def test_unknown_config_key_rejected_naming_it(self, tmp_path, key):
+        ckpt = saved_checkpoint(tmp_path)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest[key]["bogus"] = 1
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ContractError, match=f"manifest {key}: .*'bogus'"):
+            DualEncoderModel.load(ckpt)
+
+    def test_vocab_size_mismatch_rejected(self, tmp_path):
+        ckpt = saved_checkpoint(tmp_path)
+        bigger = build_vocab(["a red sign", "a blue sign", "speed limit 40 km/h keep right"])
+        assert len(bigger) > DualEncoderModel.load(ckpt).text.config.vocab_size
+        bigger.save(ckpt / "vocab.json")
+        with pytest.raises(ContractError, match=rf"vocab\.json holds {len(bigger)} tokens, "
+                                                r"text_config\.vocab_size is 20"):
+            DualEncoderModel.load(ckpt)
 
     def test_round_trip_keeps_plain_policy(self, tmp_path, rng):
-        import json
-
-        from tsrmcl.contrastive import DualEncoderModel
-
         config = replace(tiny_config(epochs=1, seed=8), number_protection=False)
         model, _ = train(tiny_pairs(rng), config)
         model.save(tmp_path / "ckpt")
@@ -308,17 +416,13 @@ class TestCheckpoint:
         text = "speed limit 987.25 km/h"
         np.testing.assert_array_equal(back.embed_text(text), model.embed_text(text))
 
-    def test_edited_manifest_shape_rejected_naming_entry(self, tmp_path, rng):
-        import json
-
-        from tsrmcl.contrastive import DualEncoderModel
-
-        model, _ = train(tiny_pairs(rng), tiny_config(epochs=1, seed=7))
-        model.save(tmp_path / "ckpt")
-        manifest_path = tmp_path / "ckpt" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        entry = next(e for e in manifest["params"] if e["name"] == "pv.w")
-        entry["shape"] = entry["shape"][::-1] + [1]
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(ContractError, match="params entry 'pv.w'.*manifest says"):
-            DualEncoderModel.load(tmp_path / "ckpt")
+    def test_edited_manifest_shape_rejected_naming_entry(self, tmp_path):
+        """A config edit that changes a parameter's shape."""
+        ckpt = saved_checkpoint(tmp_path)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["vit_config"]["mlp_factor"] = 2
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ContractError, match=r"params\.npz: entry 'vit\.blk0\.mlp\.w1' declares "
+                                                r"float64 \[16, 64\], the manifest's configs need "
+                                                r"float64 \[16, 32\]"):
+            DualEncoderModel.load(ckpt)

@@ -374,3 +374,16 @@ class TestPairsJsonl:
     def test_empty_text_rejected(self):
         with pytest.raises(ContractError):
             PairRecord("x.ppm", "pl40", "", "train")
+
+    @pytest.mark.parametrize("line, detail", [
+        ('{"image": "a.ppm", "text": "a red sign"}', "missing field 'category'"),
+        ("[1, 2]", "expected a JSON object, got list"),
+        ('{"image": "a.ppm", "category": "pl40", "text": "a red sign", "split": "dev"}',
+         "split tag must be train/test"),
+        ("{not json", "Expecting property name"),
+    ], ids=["missing-category", "non-object", "bad-split", "bad-json"])
+    def test_malformed_line_rejected_naming_it(self, tmp_path, line, detail):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text('{"image": "b.ppm", "category": "pn", "text": "no parking"}\n\n' + line + "\n")
+        with pytest.raises(ContractError, match=f"{re.escape(str(path))}:3: .*{detail}"):
+            pairs_from_jsonl(path)

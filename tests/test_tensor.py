@@ -1,14 +1,16 @@
 """Tensor engine: op semantics, gradient checks against finite
-differences, Adam behavior, and the binary serialization format."""
+differences, and Adam behavior."""
 
 import math
-import struct
 
 import numpy as np
 import pytest
 
 from tsrmcl.errors import ContractError, DegenerateInputError, DimensionError
 from tsrmcl.tensor import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     Tensor,
     adam_step,
@@ -18,8 +20,6 @@ from tsrmcl.tensor import (
     logsumexp,
     matmul,
     softmax,
-    tensor_from_bytes,
-    tensor_to_bytes,
 )
 
 from conftest import assert_gradients_close, check_op_gradient, numeric_gradient
@@ -282,30 +282,7 @@ class TestAdam:
 
     def test_defaults_match_stated_values(self):
         state = AdamState.for_params({})
-        assert (state.lr, state.beta1, state.beta2, state.eps) == (3e-4, 0.9, 0.999, 1e-8)
-
-
-class TestSerialization:
-    def test_header_layout_little_endian(self):
-        t = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        raw = tensor_to_bytes(t)
-        rank = struct.unpack_from("<Q", raw, 0)[0]
-        dims = struct.unpack_from("<QQ", raw, 8)
-        assert rank == 2 and dims == (2, 2)
-        payload = np.frombuffer(raw, dtype="<f8", offset=24)
-        np.testing.assert_array_equal(payload, [1.0, 2.0, 3.0, 4.0])
-
-    def test_multiple_tensors_in_one_buffer(self, tmp_path, rng):
-        tensors = [Tensor(rng.normal(size=s)) for s in ((2, 2), 5, (3, 4, 2))]
-        path = tmp_path / "t.bin"
-        path.write_bytes(b"".join(tensor_to_bytes(t) for t in tensors))
-        buf = path.read_bytes()
-        off = 0
-        for t in tensors:
-            back, off = tensor_from_bytes(buf, off)
-            assert back.shape == t.shape
-            np.testing.assert_array_equal(back.data, t.data)
-        assert off == len(buf)
+        assert (state.lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (3e-4, 0.9, 0.999, 1e-8)
 
 
 def test_directional_derivative_random_composite(rng):
