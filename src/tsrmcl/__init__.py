@@ -7,7 +7,7 @@ embedding cache, detection metrics, and a text-image dataset pipeline,
 all on a small float64 autodiff tensor core.
 """
 
-from .boxes import BBox, inner_iou, inner_wiou_loss, inner_wiou_t, iou, iou_t, wiou_loss
+from .boxes import BBox, inner_wiou_t, iou, iou_t
 from .cache import CacheStats, SemanticCache, bench_cache, get_or_encode
 from .contrastive import (
     DualEncoderModel,

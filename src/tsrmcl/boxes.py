@@ -1,23 +1,21 @@
 """Axis-aligned box algebra and the Inner-WIoU loss family.
 
-Two parallel surfaces: plain-float functions over :class:`BBox` for
-metrics-side work, and ``*_t`` tensor functions over corner 4-vectors
-for the differentiable loss path. Both compute the same quantities.
+:class:`BBox` and the plain-float :func:`iou` serve detection matching
+in metrics. The Inner-WIoU family lives on the differentiable path
+only: ``*_t`` tensor functions over corner 4-vectors (or a BBox).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ContractError
-from .tensor import Tensor
+from .tensor import Tensor, concat
 
 __all__ = [
     "BBox",
     "iou",
-    "inner_iou",
-    "wiou_loss",
-    "inner_wiou_loss",
     "iou_t",
     "inner_iou_t",
     "wiou_t",
@@ -27,7 +25,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BBox:
-    """Corner-coordinate box in pixels; strictly positive extent."""
+    """Corner-coordinate box in pixels: finite edges and strictly
+    positive extent, else ``ContractError`` naming the non-finite edge
+    (``bbox.xmax: not a finite number: inf``) or the degenerate box."""
 
     xmin: float
     ymin: float
@@ -35,7 +35,12 @@ class BBox:
     ymax: float
 
     def __post_init__(self):
-        if not (self.xmax > self.xmin and self.ymax > self.ymin):
+        if not (-math.inf < self.xmin < self.xmax < math.inf
+                and -math.inf < self.ymin < self.ymax < math.inf):
+            for name in ("xmin", "ymin", "xmax", "ymax"):
+                value = getattr(self, name)
+                if not math.isfinite(value):
+                    raise ContractError(f"bbox.{name}: not a finite number: {value!r}")
             raise ContractError(
                 f"degenerate box: [{self.xmin}, {self.ymin}, {self.xmax}, {self.ymax}]"
             )
@@ -49,20 +54,8 @@ class BBox:
         return self.ymax - self.ymin
 
     @property
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.xmin + self.xmax), 0.5 * (self.ymin + self.ymax))
-
-    @property
     def area(self) -> float:
         return self.width * self.height
-
-    def shrink(self, ratio: float) -> "BBox":
-        """Copy scaled about the center by ``ratio`` (0 < ratio <= 1)."""
-        _check_ratio(ratio)
-        cx, cy = self.center
-        hw = 0.5 * self.width * ratio
-        hh = 0.5 * self.height * ratio
-        return BBox(cx - hw, cy - hh, cx + hw, cy + hh)
 
     def to_json(self) -> list[float]:
         return [self.xmin, self.ymin, self.xmax, self.ymax]
@@ -74,16 +67,6 @@ class BBox:
         return cls(float(arr[0]), float(arr[1]), float(arr[2]), float(arr[3]))
 
 
-def _check_ratio(ratio: float) -> None:
-    if not 0.0 < ratio <= 1.0:
-        raise ContractError(f"inner ratio must be in (0, 1], got {ratio}")
-
-
-def _check_gamma(gamma_w: float) -> None:
-    if gamma_w <= 0.0:
-        raise ContractError(f"gamma_w must be positive, got {gamma_w}")
-
-
 def iou(a: BBox, b: BBox) -> float:
     """Intersection over union; 0 for disjoint boxes."""
     iw = min(a.xmax, b.xmax) - max(a.xmin, b.xmin)
@@ -92,24 +75,6 @@ def iou(a: BBox, b: BBox) -> float:
         return 0.0
     inter = iw * ih
     return inter / (a.area + b.area - inter)
-
-
-def inner_iou(a: BBox, b: BBox, ratio: float = 0.75) -> float:
-    """IoU of both boxes shrunk about their centers by ``ratio``."""
-    return iou(a.shrink(ratio), b.shrink(ratio))
-
-
-def wiou_loss(pred: BBox, gt: BBox, gamma_w: float = 1.0) -> float:
-    """Center-deviation penalty weighted by the ground-truth extents."""
-    _check_gamma(gamma_w)
-    px, py = pred.center
-    gx, gy = gt.center
-    return gamma_w * ((px - gx) ** 2 / gt.width**2 + (py - gy) ** 2 / gt.height**2)
-
-
-def inner_wiou_loss(pred: BBox, gt: BBox, ratio: float = 0.75, gamma_w: float = 1.0) -> float:
-    """WIoU penalty plus the IoU / inner-IoU overlap-quality gap."""
-    return wiou_loss(pred, gt, gamma_w) + iou(pred, gt) - inner_iou(pred, gt, ratio)
 
 
 # -- differentiable path ----------------------------------------------------
@@ -139,8 +104,6 @@ def iou_t(a, b) -> Tensor:
 
 
 def _shrink_t(box: Tensor, ratio: float) -> Tensor:
-    from .tensor import concat
-
     cx = 0.5 * (box[0] + box[2])
     cy = 0.5 * (box[1] + box[3])
     hw = 0.5 * (box[2] - box[0]) * ratio
@@ -150,12 +113,16 @@ def _shrink_t(box: Tensor, ratio: float) -> Tensor:
 
 
 def inner_iou_t(a, b, ratio: float = 0.75) -> Tensor:
-    _check_ratio(ratio)
+    """IoU of both boxes shrunk about their centers by ``ratio``."""
+    if not 0.0 < ratio <= 1.0:
+        raise ContractError(f"inner ratio must be in (0, 1], got {ratio}")
     return iou_t(_shrink_t(_corners(a), ratio), _shrink_t(_corners(b), ratio))
 
 
 def wiou_t(pred, gt, gamma_w: float = 1.0) -> Tensor:
-    _check_gamma(gamma_w)
+    """Center-deviation penalty weighted by the ground-truth extents."""
+    if gamma_w <= 0.0:
+        raise ContractError(f"gamma_w must be positive, got {gamma_w}")
     p = _corners(pred)
     g = _corners(gt)
     px = 0.5 * (p[0] + p[2])
@@ -170,4 +137,5 @@ def wiou_t(pred, gt, gamma_w: float = 1.0) -> Tensor:
 
 
 def inner_wiou_t(pred, gt, ratio: float = 0.75, gamma_w: float = 1.0) -> Tensor:
+    """WIoU penalty plus the IoU / inner-IoU overlap-quality gap."""
     return wiou_t(pred, gt, gamma_w) + iou_t(pred, gt) - inner_iou_t(pred, gt, ratio)

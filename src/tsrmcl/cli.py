@@ -72,15 +72,13 @@ def cmd_synth(args) -> int:
     with open(os.path.join(out, "descriptions.json"), "w", encoding="utf-8") as fh:
         json.dump(descriptions, fh, indent=1, ensure_ascii=False)
     _write_resolved_config(args, out)
-    print(f"synth: {len(scenes)} scenes, "
-          f"{sum(len(e['objects']) for e in annotations['imgs'].values())} instances -> {out}")
+    print(f"synth: {len(scenes)} scenes, {sum(spec.categories.values())} instances -> {out}")
     return 0
 
 
 def cmd_build_dataset(args) -> int:
-    annotations = ds.load_annotations(args.annotations)
     kb = KnowledgeBase.load(args.kb)
-    crops = ds.crop_signs(annotations, image_root=args.images)
+    crops = ds.crop_signs(args.annotations, image_root=args.images)
     out = args.out
     crops_dir = os.path.join(out, "crops")
     os.makedirs(crops_dir, exist_ok=True)
@@ -212,6 +210,7 @@ def cmd_classify(args) -> int:
         "per_category_count": totals,
         "cache": None if cache is None else {
             "hits": cache.stats.hits, "misses": cache.stats.misses,
+            "evictions": cache.stats.evictions, "bytes_resident": cache.stats.bytes_resident,
         },
     }
     os.makedirs(args.out, exist_ok=True)
@@ -282,8 +281,7 @@ def cmd_bench_cache(args) -> int:
 
 def cmd_stats(args) -> int:
     pairs = ds.pairs_from_jsonl(args.pairs) if args.pairs else []
-    annotations = ds.load_annotations(args.annotations) if args.annotations else None
-    report = ds.dataset_stats(pairs, annotations)
+    report = ds.dataset_stats(pairs, args.annotations)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "stats.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)

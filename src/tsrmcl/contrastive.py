@@ -126,6 +126,15 @@ def classify(f_v: np.ndarray, class_embeddings: np.ndarray, temperature: Tempera
     return e / e.sum()
 
 
+def _fitting_tokens(text: str, vocab: Vocab, max_len: int, what: str = "text"):
+    """Tokens of ``text``; over ``max_len`` raises ContractError naming
+    ``what`` and the text (over-long texts are rejected, not truncated)."""
+    seq = tokenize(text, vocab)
+    if len(seq.ids) > max_len:
+        raise ContractError(f"{what} has {len(seq.ids)} tokens, over max_len {max_len}: {text!r}")
+    return seq
+
+
 # -- the bundled model ---------------------------------------------------------
 
 
@@ -182,7 +191,11 @@ class DualEncoderModel:
         return project_to_shared(f, self.proj_v).to_numpy()
 
     def embed_text(self, text: str) -> np.ndarray:
-        f = encode_texts([tokenize(text, self.vocab)], self.text)
+        """Unit text embedding. A text over the encoder's ``max_len``
+        tokens raises ContractError naming it, so ``classify_image``,
+        the cache and ``tsrmcl classify`` reject it before encoding."""
+        seq = _fitting_tokens(text, self.vocab, self.text.config.max_len)
+        f = encode_texts([seq], self.text)
         return project_to_shared(f, self.proj_t).to_numpy()[0]
 
     def text_fingerprint(self) -> int:
@@ -383,8 +396,11 @@ def train(pairs, config: TrainConfig):
 
     Shuffled seeded mini-batches; both encoders, the projections, and
     gamma update through Adam each step. The final partial batch is
-    kept (loss already normalizes by the actual batch size). Returns
-    (model, trace) where trace rows are (epoch, mean_loss, tau).
+    kept (loss already normalizes by the actual batch size). Every text
+    is tokenized and checked before the first step: one longer than
+    ``config.max_len`` tokens raises ContractError naming its pair index
+    and the text. Returns (model, trace) where trace rows are
+    (epoch, mean_loss, tau).
     """
     pairs = list(pairs)
     if len(pairs) < 2:
@@ -394,7 +410,8 @@ def train(pairs, config: TrainConfig):
     vocab = build_vocab(texts, target_size=config.vocab_target,
                         number_protection=config.number_protection)
     model = init_model(config, vocab)
-    sequences = [tokenize(t, vocab) for t in texts]
+    sequences = [_fitting_tokens(t, vocab, config.max_len, f"pair {i} text")
+                 for i, t in enumerate(texts)]
     images = np.stack([np.asarray(img, dtype=np.float64) for img, _ in pairs])
 
     params = model.flat_params()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import zlib
 from collections import OrderedDict
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ContractError
-from .metrics import _FIELD_ERRORS, _as_object, _malformed, strata_of
+from .metrics import _FIELD_ERRORS, _as_object, _malformed, load_annotations, strata_of, tt100k_images
 from .tokenizer import KnowledgeBase
 
 __all__ = [
@@ -204,47 +205,26 @@ class SplitManifest:
 # -- annotations and cropping --------------------------------------------------
 
 
-def load_annotations(path) -> dict:
-    """TT100K-style annotation JSON; parse errors are fatal with location."""
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read()
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ContractError(
-            f"{path}: malformed annotation JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    if "imgs" not in doc:
-        raise ContractError(f"{path}: annotation JSON missing top-level 'imgs'")
-    return doc
-
-
-def _bbox_edge(obj, key: str, rounding) -> int:
-    raw = obj["bbox"][key]
-    try:
-        return int(rounding(float(raw)))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ContractError(f"bbox.{key} is not a finite number: {raw!r}") from exc
-
-
-def crop_signs(annotations: dict, image_root=None, images: dict | None = None):
+def crop_signs(annotations, image_root=None, images: dict | None = None):
     """One pixel-exact crop per annotated object.
 
-    ``images`` maps image id to an in-memory array; otherwise each
-    entry's ``path`` is read relative to ``image_root``. Out-of-bounds
-    boxes are clamped with a warning; unreadable images are skipped per
-    item with a warning and the pipeline continues. An object missing its
-    category or a bbox edge, or with a non-finite edge, raises
-    ContractError naming ``imgs[<id>].objects[<k>]`` and the field.
+    ``annotations`` (a TT100K-style document or its file path) is read
+    and checked whole by ``metrics.tt100k_images`` before any image is
+    read: a malformed document, a non-finite edge or a zero-extent box
+    included, raises its located ContractError. ``images`` maps image id
+    to an in-memory array; otherwise each entry's ``path`` is read
+    relative to ``image_root``. Edges widen to whole pixels. A box that
+    overhangs its image is clamped with a warning, or dropped with a
+    warning when the clamp leaves it empty; unreadable images are
+    skipped per item with a warning and the pipeline continues.
 
     Returns a list of (crop, category, image_id, object_index).
     """
     crops = []
-    for image_id, entry in sorted(annotations["imgs"].items()):
+    for image_id, path, objects in tt100k_images(annotations):
         if images is not None and image_id in images:
             img = np.asarray(images[image_id])
         else:
-            path = entry.get("path", "")
             full = os.path.join(image_root, path) if image_root else path
             try:
                 img = read_image(full)
@@ -252,20 +232,17 @@ def crop_signs(annotations: dict, image_root=None, images: dict | None = None):
                 log.warning("skipping unreadable image %s: %s", full, exc)
                 continue
         h, w = img.shape[:2]
-        for k, obj in enumerate(entry.get("objects", [])):
-            try:
-                x0, y0 = (_bbox_edge(obj, key, np.floor) for key in ("xmin", "ymin"))
-                x1, y1 = (_bbox_edge(obj, key, np.ceil) for key in ("xmax", "ymax"))
-                category = str(obj["category"])
-            except _FIELD_ERRORS as exc:
-                raise _malformed(f"imgs[{image_id}].objects[{k}]", exc) from exc
-            cx0, cy0 = max(0, x0), max(0, y0)
-            cx1, cy1 = min(w, x1), min(h, y1)
-            if (cx0, cy0, cx1, cy1) != (x0, y0, x1, y1):
-                log.warning("clamped bbox %s of %s to image bounds", obj["bbox"], image_id)
+        for k, (category, box) in enumerate(objects):
+            x0, y0 = math.floor(box.xmin), math.floor(box.ymin)
+            x1, y1 = math.ceil(box.xmax), math.ceil(box.ymax)
+            cx0, cy0, cx1, cy1 = max(0, x0), max(0, y0), min(w, x1), min(h, y1)
             if cx1 <= cx0 or cy1 <= cy0:
-                log.warning("dropping empty bbox %s of %s", obj["bbox"], image_id)
+                log.warning("dropping empty bbox %s of %s: outside its %dx%d image",
+                            box.to_json(), image_id, w, h)
                 continue
+            if (cx0, cy0, cx1, cy1) != (x0, y0, x1, y1):
+                log.warning("clamped bbox %s of %s to its %dx%d image",
+                            box.to_json(), image_id, w, h)
             crops.append((img[cy0:cy1, cx0:cx1].copy(), category, image_id, k))
     return crops
 
@@ -525,43 +502,41 @@ def _requeue(objects, codes):
 # -- statistics -----------------------------------------------------------------
 
 
-def dataset_stats(pairs, annotations: dict | None = None, small_side: float = 32.0) -> dict:
+def dataset_stats(pairs, annotations=None, small_side: float = 32.0) -> dict:
     """Per-category counts, long-tail strata, and the small-target share
-    (boxes with both sides below ``small_side`` pixels)."""
+    (boxes with both sides below ``small_side`` pixels).
+
+    Counts come from ``pairs``, or from ``annotations`` when there are
+    none. ``annotations`` (a TT100K-style document or its file path) is
+    read by ``metrics.tt100k_images``: a malformed document, a
+    non-finite edge or a zero-extent box included, raises its located
+    ContractError.
+    """
     counts: dict[str, int] = {}
     train_counts: dict[str, int] = {}
     for p in pairs or []:
         counts[p.category] = counts.get(p.category, 0) + 1
         if p.split == "train":
             train_counts[p.category] = train_counts.get(p.category, 0) + 1
-    if not counts and annotations:
-        for entry in annotations.get("imgs", {}).values():
-            for obj in entry.get("objects", []):
-                cat = str(obj["category"])
-                counts[cat] = counts.get(cat, 0) + 1
+    boxes = [] if annotations is None else [
+        labelled for _, _, objects in tt100k_images(annotations) for labelled in objects
+    ]
+    if not counts:
+        for category, _ in boxes:
+            counts[category] = counts.get(category, 0) + 1
 
     basis = train_counts if train_counts else counts
     strata: dict[str, list[str]] = {"head": [], "middle": [], "tail": []}
     for cat in sorted(counts):
         strata[strata_of(basis.get(cat, 0))].append(cat)
 
-    small = total = 0
-    if annotations:
-        for entry in annotations.get("imgs", {}).values():
-            for obj in entry.get("objects", []):
-                bb = obj["bbox"]
-                total += 1
-                w = float(bb["xmax"]) - float(bb["xmin"])
-                h = float(bb["ymax"]) - float(bb["ymin"])
-                if w < small_side and h < small_side:
-                    small += 1
-
+    small = sum(box.width < small_side and box.height < small_side for _, box in boxes)
     return {
         "per_category": counts,
         "strata": {k: {"categories": v, "count": len(v)} for k, v in strata.items()},
         "small_target": {
             "count": small,
-            "total": total,
-            "share": (small / total) if total else 0.0,
+            "total": len(boxes),
+            "share": (small / len(boxes)) if boxes else 0.0,
         },
     }

@@ -36,6 +36,8 @@ __all__ = [
     "ap50",
     "map_suite",
     "load_predictions_jsonl",
+    "load_annotations",
+    "tt100k_images",
     "load_tt100k_ground_truth",
     "strata_of",
 ]
@@ -310,23 +312,59 @@ def load_predictions_jsonl(path) -> dict[str, list[Detection]]:
     return out
 
 
-def load_tt100k_ground_truth(path) -> dict[str, list[GroundTruth]]:
-    """TT100K-style {"imgs": {id: {"path", "objects": [...]}}} annotations;
-    a malformed document raises ContractError naming the bad object."""
+def load_annotations(path) -> dict:
+    """Decoded TT100K-style annotation file, not yet checked (see
+    ``tt100k_images``); malformed JSON raises ContractError naming
+    ``path``, line and column."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    out: dict[str, list[GroundTruth]] = {}
-    where = str(path)
     try:
-        for image_id, entry in _as_object(_as_object(json.loads(text)).get("imgs", {})).items():
-            where = f"{path}: imgs[{image_id}]"
-            gts = []
+        return json.loads(text)
+    except ValueError as exc:
+        raise _malformed(path, exc) from exc
+
+
+def tt100k_images(annotations) -> list[tuple[str, str, list[tuple[str, BBox]]]]:
+    """Every image of a TT100K-style document, checked whole and sorted
+    by id, as ``(image_id, path, [(category, BBox)])``.
+
+    ``annotations`` is the decoded ``{"imgs": {id: {"path", "objects":
+    [{"category", "bbox": {"xmin", "ymin", "xmax", "ymax"}}]}}}`` (``path``
+    and ``objects`` optional) or the path of its JSON file. Box policy
+    (``BBox``): edges are finite numbers and the extent is positive.
+    Any fault (a part that is not a JSON object, a missing key, an edge
+    that is not a finite number, a zero-extent box) raises ContractError
+    naming the source (the file, or ``annotations``), ``imgs[id]`` or
+    ``imgs[id].objects[k]``, and the field: e.g. ``imgs[b].objects[1]:
+    bbox.ymin: could not convert string to float: 'top'``.
+    """
+    source = "annotations"
+    if not isinstance(annotations, dict):
+        annotations, source = load_annotations(annotations), annotations
+    images = []
+    where = str(source)
+    try:
+        for image_id, entry in sorted(_as_object(_as_object(annotations)["imgs"]).items()):
+            where = f"{source}: imgs[{image_id}]"
+            objects = []
             for k, obj in enumerate(_as_object(entry).get("objects", [])):
-                where = f"{path}: imgs[{image_id}].objects[{k}]"
+                where = f"{source}: imgs[{image_id}].objects[{k}]"
                 bb = _as_object(_as_object(obj)["bbox"])
-                box = BBox(*(float(bb[key]) for key in ("xmin", "ymin", "xmax", "ymax")))
-                gts.append(GroundTruth(box, str(obj["category"])))
-            out[str(image_id)] = gts
+                edges = []
+                for key in ("xmin", "ymin", "xmax", "ymax"):
+                    try:
+                        edges.append(float(bb[key]))
+                    except (TypeError, ValueError) as exc:
+                        raise ContractError(f"bbox.{key}: {exc}") from exc
+                objects.append((str(obj["category"]), BBox(*edges)))
+            images.append((str(image_id), str(entry.get("path", "")), objects))
     except _FIELD_ERRORS as exc:
         raise _malformed(where, exc) from exc
-    return out
+    return images
+
+
+def load_tt100k_ground_truth(path) -> dict[str, list[GroundTruth]]:
+    """Ground truth of a TT100K-style annotation file, read through
+    :func:`tt100k_images` (box policy and errors there)."""
+    return {image_id: [GroundTruth(box, category) for category, box in objects]
+            for image_id, _, objects in tt100k_images(path)}

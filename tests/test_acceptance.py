@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from tsrmcl.boxes import BBox, inner_wiou_loss, iou
+from tsrmcl.boxes import BBox, inner_wiou_t, iou
 from tsrmcl.cache import SemanticCache, bench_cache
 from tsrmcl.cli import run, sample_category_codes
 from tsrmcl.contrastive import (
@@ -202,7 +202,7 @@ def test_iou_family():
         assert abs(iou(a, b) - raster_iou(a, b)) <= 1e-9
     for r in (0.1, 0.25, 0.5, 0.75, 1.0):
         box = BBox(3, 4, 17, 11)
-        assert inner_wiou_loss(box, box, ratio=r) == 0.0
+        assert float(inner_wiou_t(box, box, ratio=r).data) == 0.0
 
 
 @pytest.mark.acceptance("tokenizer: 10,000 fuzzed descriptions, zero span splits; exact round trips; '40' one token")

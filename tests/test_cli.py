@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from tsrmcl.cli import run, sample_category_codes
+from tsrmcl.dataset import write_ppm
 
 
 MINI_PROFILE = {"pl40": 12, "i5": 12, "w57": 9, "ps": 6}
@@ -59,6 +60,56 @@ class TestDispatch:
                     "--out", str(tmp_path / "out")]) == 1
         located = f"{pred}:1: " if pred_line is not None else ""
         assert capsys.readouterr().err.startswith(f"error: {located}")
+
+
+OK_OBJECT = '{"category": "pl40", "bbox": {"xmin": 1, "ymin": 2, "xmax": 9, "ymax": 12}}'
+
+
+def bad_object(bbox):
+    obj = '{"category": "pl40", "bbox": %s}' % bbox
+    return '{"imgs": {"7": {"path": "s.ppm", "objects": [OK, %s]}}}' % obj
+
+
+class TestMalformedAnnotations:
+    """eval, stats and build-dataset read TT100K files through one checked
+    walk, so each rejects a malformed file with the same located error."""
+
+    @pytest.mark.parametrize("doc, where, detail", [
+        ('{"imgs": []}', "", "expected a JSON object, got list"),
+        ('{"imgs": {"7": []}}', "imgs[7]: ", "expected a JSON object, got list"),
+        ('{"imgs": {"7": {"path": "s.ppm", "objects": [OK, [1, 2, 9, 12]]}}}',
+         "imgs[7].objects[1]: ", "expected a JSON object, got list"),
+        (bad_object('{"xmin": 1, "ymin": 2, "xmax": 9}'), "imgs[7].objects[1]: ",
+         "missing field 'ymax'"),
+        (bad_object('{"xmin": 1, "ymin": "top", "xmax": 9, "ymax": 12}'), "imgs[7].objects[1]: ",
+         "bbox.ymin: could not convert string to float: 'top'"),
+        (bad_object('{"xmin": 1, "ymin": 2, "xmax": NaN, "ymax": 12}'), "imgs[7].objects[1]: ",
+         "bbox.xmax: not a finite number: nan"),
+        (bad_object('{"xmin": 1, "ymin": 2, "xmax": Infinity, "ymax": 12}'),
+         "imgs[7].objects[1]: ", "bbox.xmax: not a finite number: inf"),
+        (bad_object('{"xmin": 9, "ymin": 2, "xmax": 9, "ymax": 12}'), "imgs[7].objects[1]: ",
+         "degenerate box: [9.0, 2.0, 9.0, 12.0]"),
+    ], ids=["imgs-list", "entry-list", "object-list", "missing-edge", "text-edge", "nan-edge",
+            "infinite-edge", "zero-extent"])
+    def test_every_reader_rejects_with_the_same_located_error(self, tmp_path, capsys,
+                                                                doc, where, detail):
+        gt = tmp_path / "gt.json"
+        gt.write_text(doc.replace("OK", OK_OBJECT))
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text('{"image_id": "7", "category": "pl40", "bbox": [1, 2, 9, 12], '
+                        '"confidence": 0.5}\n')
+        images = tmp_path / "scenes"
+        images.mkdir()
+        write_ppm(images / "s.ppm", np.zeros((16, 16, 3), dtype=np.uint8))
+        commands = {
+            "eval": ["eval", "--pred", str(pred), "--gt", str(gt)],
+            "stats": ["stats", "--annotations", str(gt)],
+            "build-dataset": ["build-dataset", "--annotations", str(gt), "--images", str(images)],
+        }
+        capsys.readouterr()
+        for name, argv in commands.items():
+            assert run(argv + ["--out", str(tmp_path / name)]) == 1, name
+            assert capsys.readouterr().err == f"error: {gt}: {where}{detail}\n", name
 
 
 class TestSynth:
@@ -159,6 +210,17 @@ class TestTrainClassify:
                     "--out", str(tmp_path / "cls")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "text_config" in err and "'bogus'" in err
+
+    def test_classify_reports_evictions_and_resident_bytes(self, pipeline, tmp_path):
+        _, _, data_dir, model_dir = pipeline
+        out = tmp_path / "cls"
+        assert run(["classify", "--model", str(model_dir),
+                    "--pairs", str(data_dir / "pairs.jsonl"),
+                    "--out", str(out), "--cache-max", "1"]) == 0
+        cache = json.loads((out / "classification.json").read_text())["cache"]
+        assert cache["evictions"] > 0
+        assert cache["evictions"] == cache["misses"] - 1  # one entry stays resident
+        assert cache["bytes_resident"] == 32 * 8  # one float64 embedding of width 32
 
     def test_classify_no_cache_matches_cached(self, pipeline, tmp_path):
         _, _, data_dir, model_dir = pipeline

@@ -178,6 +178,14 @@ class TestClassify:
         with pytest.raises(ContractError):
             classify(unit_rows(rng, 1, 4)[0], np.zeros((0, 4)), self._temp(1.0))
 
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+    def test_over_long_class_text_rejected_naming_it(self, rng, cached):
+        model = init_model(tiny_config(), build_vocab(["a red sign", "a blue sign"]))
+        cache = SemanticCache(model.text_fingerprint()) if cached else None
+        long_text = " ".join(["red"] * 80)
+        with pytest.raises(ContractError, match=r"text has \d+ tokens, over max_len 64: 'red red"):
+            classify_image(model, rng.random((8, 8, 3)), ["a red sign", long_text], cache=cache)
+
 
 def tiny_pairs(rng, n=12, side=8):
     texts = [
@@ -228,6 +236,14 @@ class TestTrain:
             for t in texts:
                 (matched if t == text else mismatched).append(float(f @ text_emb[t]))
         assert np.mean(matched) - np.mean(mismatched) >= 0.2
+
+    def test_over_long_text_rejected_before_any_step_naming_its_pair(self, rng):
+        pairs = tiny_pairs(rng)
+        pairs[5] = (pairs[5][0], " ".join(["sign"] * 80))
+        # zero epochs run no step, so only the up-front check can raise
+        with pytest.raises(ContractError,
+                           match=r"pair 5 text has \d+ tokens, over max_len 64: 'sign sign"):
+            train(pairs, tiny_config(epochs=0))
 
     def test_partial_batch_kept(self, rng):
         pairs = tiny_pairs(rng, n=8)  # batch 6 -> batches of 6 and 2

@@ -115,6 +115,17 @@ class TestCropSigns:
         assert "clamped" in caplog.text
         np.testing.assert_array_equal(crops[0][0], img[1:3, 0:4])
 
+    def test_box_clamped_to_empty_dropped_with_warning(self, rng, caplog):
+        img = rng.integers(0, 256, size=(4, 4, 3)).astype(np.uint8)
+        ann = {"imgs": {"a": {"path": "", "objects": [
+            {"category": "x", "bbox": {"xmin": 6, "ymin": 1, "xmax": 9, "ymax": 3}},
+            {"category": "y", "bbox": {"xmin": 1, "ymin": 1, "xmax": 3, "ymax": 3}}]}}}
+        with caplog.at_level(logging.WARNING):
+            crops = crop_signs(ann, images={"a": img})
+        assert [(c[1], c[3]) for c in crops] == [("y", 1)]
+        np.testing.assert_array_equal(crops[0][0], img[1:3, 1:3])
+        assert "dropping empty bbox [6.0, 1.0, 9.0, 3.0] of a" in caplog.text
+
     def test_unreadable_image_skipped_pipeline_continues(self, tmp_path, rng, caplog):
         img = rng.integers(0, 256, size=(4, 4, 3)).astype(np.uint8)
         write_ppm(tmp_path / "ok.ppm", img)
@@ -146,6 +157,12 @@ class TestCropSigns:
                         "b": {"path": "", "objects": [good, obj]}}}
         with pytest.raises(ContractError, match=rf"imgs\[b\]\.objects\[1\]: .*{re.escape(field)}"):
             crop_signs(ann, images={"a": img, "b": img})
+
+    def test_malformed_object_in_unreadable_image_rejected(self, tmp_path):
+        ann = {"imgs": {"bad": {"path": "missing.ppm", "objects": [
+            {"category": "x", "bbox": {"xmin": 0, "ymin": 0, "xmax": 0, "ymax": 2}}]}}}
+        with pytest.raises(ContractError, match=r"imgs\[bad\]\.objects\[0\]: degenerate box"):
+            crop_signs(ann, image_root=tmp_path)
 
     def test_truncated_scene_skipped_good_crops_returned(self, tmp_path, rng, caplog):
         box = {"xmin": 1, "ymin": 1, "xmax": 3, "ymax": 4}

@@ -376,8 +376,10 @@ class TestInterchange:
          "degenerate box"),
         ('{"image_id": "x", "category": "a", "bbox": [0, 0, 5], "confidence": 0.5}',
          "4 entries"),
+        ('{"image_id": "x", "category": "a", "bbox": [0, 0, Infinity, 10], "confidence": 0.5}',
+         "bbox.xmax: not a finite number: inf"),
     ], ids=["bad-json", "missing-field", "non-object", "bad-confidence",
-            "confidence-range", "degenerate-box", "short-box"])
+            "confidence-range", "degenerate-box", "short-box", "infinite-edge"])
     def test_bad_jsonl_names_location(self, tmp_path, line, detail):
         path = tmp_path / "p.jsonl"
         path.write_text(
@@ -402,8 +404,11 @@ class TestInterchange:
         ('{"imgs": {"7": {"objects": [OK, {"category": "a", "bbox": '
          '{"xmin": 9, "ymin": 2, "xmax": 9, "ymax": 12}}]}}}', "imgs[7].objects[1]",
          "degenerate box"),
+        ('{"imgs": {"7": {"objects": [OK, {"category": "a", "bbox": '
+         '{"xmin": 1, "ymin": -Infinity, "xmax": 9, "ymax": 12}}]}}}', "imgs[7].objects[1]",
+         "bbox.ymin: not a finite number: -inf"),
     ], ids=["bad-json", "non-object-doc", "imgs-list", "entry-list", "missing-bbox",
-            "missing-ymax", "bad-number", "degenerate-box"])
+            "missing-ymax", "bad-number", "degenerate-box", "infinite-edge"])
     def test_bad_tt100k_names_location(self, tmp_path, doc, where, detail):
         ok = '{"category": "a", "bbox": {"xmin": 1, "ymin": 2, "xmax": 9, "ymax": 12}}'
         path = tmp_path / "gt.json"
