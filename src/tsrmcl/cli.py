@@ -36,12 +36,24 @@ def _write_resolved_config(args, out_dir: str) -> None:
         json.dump(resolved, fh, indent=1, default=str)
 
 
+def _load_counts(path: str) -> OrderedDict:
+    """A JSON object of integer counts by category, in file order; any
+    other document raises ContractError naming ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh, object_pairs_hook=OrderedDict)
+        except json.JSONDecodeError as exc:
+            raise ContractError(f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ContractError(f"{path}: expected a JSON object of counts, got {type(doc).__name__}")
+    for k, v in doc.items():
+        if type(v) is not int:
+            raise ContractError(f"{path}: count of {k!r} is not an integer: {v!r}")
+    return doc
+
+
 def _load_profile(profile: str) -> OrderedDict:
-    if profile == "longtail8":
-        return OrderedDict(ds.LONGTAIL8)
-    with open(profile, encoding="utf-8") as fh:
-        doc = json.load(fh, object_pairs_hook=OrderedDict)
-    return OrderedDict((str(k), int(v)) for k, v in doc.items())
+    return OrderedDict(ds.LONGTAIL8) if profile == "longtail8" else _load_counts(profile)
 
 
 def _parse_ratio(text: str) -> tuple[int, int]:
@@ -226,8 +238,7 @@ def cmd_eval(args) -> int:
     gts = load_tt100k_ground_truth(args.gt)
     counts = None
     if args.train_counts:
-        with open(args.train_counts, encoding="utf-8") as fh:
-            counts = {str(k): int(v) for k, v in json.load(fh).items()}
+        counts = _load_counts(args.train_counts)
     report = map_suite(dets, gts, train_counts=counts)
     os.makedirs(args.out, exist_ok=True)
     report.write_json(os.path.join(args.out, "report.json"))

@@ -391,16 +391,29 @@ def init_model(config: TrainConfig, vocab: Vocab) -> DualEncoderModel:
     return _init_from_configs(vit_cfg, txt_cfg, vocab, config.seed, config.gamma_init)
 
 
+def _batch_loss(model: DualEncoderModel, images: np.ndarray, sequences, text_of: np.ndarray) -> Tensor:
+    """InfoNCE of one batch whose row i pairs ``images[i]`` with
+    ``sequences[text_of[i]]``. Each distinct text is encoded once; the
+    integer gather back to the rows scatter-adds their gradients."""
+    fv = project_to_shared(encode_images(Tensor(images), model.vit), model.proj_v)
+    distinct, rows = np.unique(text_of, return_inverse=True)
+    ft = project_to_shared(encode_texts([sequences[k] for k in distinct], model.text), model.proj_t)
+    return contrastive_loss(similarity(fv, ft[rows]), model.temperature)
+
+
 def train(pairs, config: TrainConfig):
     """Contrastive training over (image, text) pairs.
 
     Shuffled seeded mini-batches; both encoders, the projections, and
     gamma update through Adam each step. The final partial batch is
-    kept (loss already normalizes by the actual batch size). Every text
-    is tokenized and checked before the first step: one longer than
-    ``config.max_len`` tokens raises ContractError naming its pair index
-    and the text. Returns (model, trace) where trace rows are
-    (epoch, mean_loss, tau).
+    kept (loss already normalizes by the actual batch size). Each distinct
+    text is tokenized and checked once, before the first step: one longer
+    than ``config.max_len`` tokens raises ContractError naming the first
+    pair that holds it, and the text. Rows of a batch that share a text
+    share one encoding per step (see ``_batch_loss``), so the B x B InfoNCE
+    matches encoding every row alone to about 1e-10 relative, not bit for
+    bit: a smaller stack may sum in another order. Returns (model, trace)
+    where trace rows are (epoch, mean_loss, tau).
     """
     pairs = list(pairs)
     if len(pairs) < 2:
@@ -410,8 +423,13 @@ def train(pairs, config: TrainConfig):
     vocab = build_vocab(texts, target_size=config.vocab_target,
                         number_protection=config.number_protection)
     model = init_model(config, vocab)
-    sequences = [_fitting_tokens(t, vocab, config.max_len, f"pair {i} text")
-                 for i, t in enumerate(texts)]
+    index_of: dict[str, int] = {}
+    sequences = []
+    for i, t in enumerate(texts):
+        if t not in index_of:
+            index_of[t] = len(sequences)
+            sequences.append(_fitting_tokens(t, vocab, config.max_len, f"pair {i} text"))
+    text_of = np.array([index_of[t] for t in texts])
     images = np.stack([np.asarray(img, dtype=np.float64) for img, _ in pairs])
 
     params = model.flat_params()
@@ -426,11 +444,7 @@ def train(pairs, config: TrainConfig):
             batch = order[start:start + config.batch_size]
             if len(batch) == 1:
                 log.warning("batch of size 1 at epoch %d: contrastive loss is trivially 0", epoch)
-            fv = project_to_shared(encode_images(Tensor(images[batch]), model.vit), model.proj_v)
-            ft = project_to_shared(
-                encode_texts([sequences[i] for i in batch], model.text), model.proj_t
-            )
-            loss = contrastive_loss(similarity(fv, ft), model.temperature)
+            loss = _batch_loss(model, images[batch], sequences, text_of[batch])
             loss.backward()
             grads = {
                 name: (p.grad if p.grad is not None else np.zeros_like(p.data))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .tensor import Tensor, concat, l2_normalize, layer_norm, matmul, softmax, uniform_init
+from .tensor import Tensor, concat, l2_normalize, layer_norm, linear, matmul, softmax, uniform_init
 from .tokenizer import TokenSequence
 
 __all__ = [
@@ -168,22 +168,22 @@ def _mha(z: Tensor, t: dict[str, Tensor], prefix: str, heads: int,
          mask: Tensor | None = None) -> Tensor:
     b, n, d = z.shape
     dh = d // heads
-    q = (matmul(z, t[f"{prefix}.wq"]) + t[f"{prefix}.bq"]).reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
-    k = (matmul(z, t[f"{prefix}.wk"]) + t[f"{prefix}.bk"]).reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
-    v = (matmul(z, t[f"{prefix}.wv"]) + t[f"{prefix}.bv"]).reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+    q = linear(z, t[f"{prefix}.wq"], t[f"{prefix}.bq"]).reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+    k = linear(z, t[f"{prefix}.wk"], t[f"{prefix}.bk"]).reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+    v = linear(z, t[f"{prefix}.wv"], t[f"{prefix}.bv"]).reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
     scores = matmul(q, k.transpose(0, 1, 3, 2)) / np.sqrt(dh)
     if mask is not None:
         scores = scores + mask
     mixed = matmul(softmax(scores, axis=-1), v)
     mixed = mixed.transpose(0, 2, 1, 3).reshape(b, n, d)
-    return matmul(mixed, t[f"{prefix}.wo"]) + t[f"{prefix}.bo"]
+    return linear(mixed, t[f"{prefix}.wo"], t[f"{prefix}.bo"])
 
 
 def _vit_block(z: Tensor, t: dict[str, Tensor], i: int, heads: int) -> Tensor:
     attn = _mha(z, t, f"blk{i}", heads)
     z = layer_norm(attn + z, t[f"blk{i}.ln1.g"], t[f"blk{i}.ln1.b"])
-    mlp = matmul(z, t[f"blk{i}.mlp.w1"]) + t[f"blk{i}.mlp.b1"]
-    mlp = matmul(mlp.gelu(), t[f"blk{i}.mlp.w2"]) + t[f"blk{i}.mlp.b2"]
+    mlp = linear(z, t[f"blk{i}.mlp.w1"], t[f"blk{i}.mlp.b1"])
+    mlp = linear(mlp.gelu(), t[f"blk{i}.mlp.w2"], t[f"blk{i}.mlp.b2"])
     return layer_norm(mlp + z, t[f"blk{i}.ln2.g"], t[f"blk{i}.ln2.b"])
 
 
@@ -208,7 +208,7 @@ def encode_images(images: Tensor, params: EncoderParams) -> Tensor:
     t = params.tensors
     b = images.shape[0]
     patches = patchify(images, cfg.patch)
-    z = matmul(patches, t["patch.w"]) + t["patch.b"]  # (B, N, d)
+    z = linear(patches, t["patch.w"], t["patch.b"])  # (B, N, d)
     cls_row = t["cls"].reshape(1, 1, cfg.width).broadcast_to((b, 1, cfg.width))
     z = concat([cls_row, z], axis=1)  # (B, N+1, d)
     pos = Tensor(sinusoidal_positions(cfg.n_patches + 1, cfg.width)[None, :, :])
@@ -259,4 +259,4 @@ def project_to_shared(f: Tensor, params: dict[str, Tensor]) -> Tensor:
     f = Tensor._coerce(f)
     if f.ndim != 2:
         raise DimensionError(f"project_to_shared expects (B, d), got {f.shape}")
-    return l2_normalize(matmul(f, params["w"]) + params["b"])
+    return l2_normalize(linear(f, params["w"], params["b"]))

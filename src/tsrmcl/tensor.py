@@ -23,6 +23,7 @@ __all__ = [
     "softmax",
     "logsumexp",
     "layer_norm",
+    "linear",
     "l2_normalize",
     "concat",
     "uniform_init",
@@ -211,10 +212,17 @@ class Tensor:
         return Tensor._from_op(x * slope, (self,), lambda g: (g * slope,), "leaky_relu")
 
     def gelu(self):
-        """tanh-form GELU."""
+        """tanh-form GELU, 0.5 x (1 + tanh(u)) with u = c (x + 0.044715 x^3)
+        and c = sqrt(2/pi); one tape node whose gradient is
+        0.5 (1 + tanh u) + 0.5 x (1 - tanh^2 u) c (1 + 3 * 0.044715 x^2)."""
+        x = self.data
         c = np.sqrt(2.0 / np.pi)
-        x = self
-        return 0.5 * x * (1.0 + (c * (x + 0.044715 * x * x * x)).tanh())
+        t = np.tanh(c * (x + 0.044715 * x * x * x))
+
+        def grad_fn(g):
+            return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * 0.044715 * x * x)),)
+
+        return Tensor._from_op(0.5 * x * (1.0 + t), (self,), grad_fn, "gelu")
 
     # -- reductions ----------------------------------------------------
 
@@ -431,19 +439,54 @@ def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Standardize over the last axis, then apply the affine (gain, bias).
+    """Standardize over the last axis, then apply the affine (gain, bias):
+    y = xhat * gain + bias with xhat = (x - mean) / sqrt(var + eps), the
+    variance being the population one (Ba et al. 2016).
 
-    ``eps >= 0``; with eps = 0 a zero-variance row raises (division by
-    zero trips the finiteness guard).
+    ``eps >= 0``; with eps = 0 a zero-variance row raises ContractError.
+    One tape node. With dy the upstream gradient, summed over the leading
+    axes for the affine: d bias = sum dy, d gain = sum dy * xhat, and
+    dx = (dxh - mean(dxh) - xhat * mean(dxh * xhat)) / sqrt(var + eps)
+    with dxh = dy * gain, the means over the last axis.
     """
     if eps < 0:
         raise ContractError("layer_norm eps must be >= 0")
     x = Tensor._coerce(x)
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    normed = centered / (var + eps).sqrt()
-    return normed * Tensor._coerce(gain) + Tensor._coerce(bias)
+    gain = Tensor._coerce(gain)
+    bias = Tensor._coerce(bias)
+    n = x.shape[-1]
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) / n
+    spread = (centered * centered).sum(axis=-1, keepdims=True) / n + eps
+    if np.any(spread == 0.0):
+        raise ContractError("layer_norm of a zero-variance row with eps = 0")
+    root = np.sqrt(spread)
+    xhat = centered / root
+    g_shape, b_shape = gain.shape, bias.shape
+
+    def grad_fn(g):
+        dxh = g * gain.data
+        dx = (dxh - dxh.sum(axis=-1, keepdims=True) / n
+              - xhat * (dxh * xhat).sum(axis=-1, keepdims=True) / n) / root
+        return dx, _unbroadcast(g * xhat, g_shape), _unbroadcast(g, b_shape)
+
+    return Tensor._from_op(xhat * gain.data + bias.data, (x, gain, bias), grad_fn, "layer_norm")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map of the last axis, y = x @ w + b, for x (..., m, k),
+    w (k, n) and b (n,). One tape node: dx = dy @ w^T, while dw sums
+    x^T @ dy and db sums dy over every leading axis, as the broadcast
+    matmul and add it replaces would."""
+    x, w, b = Tensor._coerce(x), Tensor._coerce(w), Tensor._coerce(b)
+    if x.ndim < 2 or w.ndim != 2 or b.shape != (w.shape[1],) or x.shape[-1] != w.shape[0]:
+        raise DimensionError(f"linear needs (..., m, k) @ (k, n) + (n,), got {x.shape} @ {w.shape} + {b.shape}")
+    xd, wd = x.data, w.data
+
+    def grad_fn(g):
+        gx = g @ wd.T if x.requires_grad else None
+        return gx, _unbroadcast(xd.swapaxes(-1, -2) @ g, wd.shape), _unbroadcast(g, b.shape)
+
+    return Tensor._from_op(xd @ wd + b.data, (x, w, b), grad_fn, "linear")
 
 
 def l2_normalize(x: Tensor) -> Tensor:

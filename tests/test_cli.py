@@ -62,6 +62,35 @@ class TestDispatch:
         assert capsys.readouterr().err.startswith(f"error: {located}")
 
 
+class TestCountsFiles:
+    """A profile (synth, ablate) or train-counts file (eval) that is not a
+    JSON object of integer counts fails with an error naming the file."""
+
+    @pytest.mark.parametrize("doc, detail", [
+        ("[1]", "expected a JSON object of counts, got list"),
+        ('{"pl40": [1]}', "count of 'pl40' is not an integer: [1]"),
+        ('{"pl40": 2.5}', "count of 'pl40' is not an integer: 2.5"),
+        ('{"pl40": true}', "count of 'pl40' is not an integer: True"),
+        ('{"pl40": ', "Expecting value"),
+    ], ids=["list", "list-count", "float-count", "bool-count", "bad-json"])
+    @pytest.mark.parametrize("command", ["synth", "ablate", "eval"])
+    def test_bad_counts_file_is_one_naming_it(self, tmp_path, capsys, command, doc, detail):
+        counts = tmp_path / "counts.json"
+        counts.write_text(doc)
+        out = str(tmp_path / "out")
+        if command == "eval":
+            pred, gt = tmp_path / "pred.jsonl", tmp_path / "gt.json"
+            pred.write_text("")
+            gt.write_text('{"imgs": {}}')
+            argv = ["eval", "--pred", str(pred), "--gt", str(gt), "--out", out,
+                    "--train-counts", str(counts)]
+        else:
+            argv = [command, "--out", out, "--profile", str(counts)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {counts}: {detail}")
+        assert not os.path.exists(out)
+
+
 OK_OBJECT = '{"category": "pl40", "bbox": {"xmin": 1, "ymin": 2, "xmax": 9, "ymax": 12}}'
 
 

@@ -14,6 +14,8 @@ from numpy.lib import format as npy_format
 
 from tsrmcl.cache import SemanticCache
 from tsrmcl.contrastive import (
+    _batch_loss,
+    _fitting_tokens,
     TAU_CEILING,
     DualEncoderModel,
     Temperature,
@@ -26,6 +28,7 @@ from tsrmcl.contrastive import (
     train,
     write_loss_trace,
 )
+from tsrmcl.encoders import encode_images, encode_texts, project_to_shared
 from tsrmcl.errors import ContractError, DimensionError
 from tsrmcl.tensor import Tensor
 from tsrmcl.tokenizer import build_vocab
@@ -244,6 +247,34 @@ class TestTrain:
         with pytest.raises(ContractError,
                            match=r"pair 5 text has \d+ tokens, over max_len 64: 'sign sign"):
             train(pairs, tiny_config(epochs=0))
+
+    def test_distinct_text_step_matches_per_row_encoding(self, rng):
+        """One step on a batch that repeats its texts: encoding each text
+        once and gathering the rows back gives every parameter the gradient
+        of encoding all B rows, to 1e-10 of the step's largest gradient
+        entry (the key biases' gradients are zero up to rounding)."""
+        pairs = tiny_pairs(rng, n=10)
+        texts = sorted({t for _, t in pairs})
+        vocab = build_vocab(texts)
+        model = init_model(tiny_config(), vocab)
+        sequences = [_fitting_tokens(t, vocab, 64) for t in texts]
+        text_of = np.array([texts.index(t) for _, t in pairs])
+        images = np.stack([img for img, _ in pairs])
+        params = model.flat_params()
+
+        def gradients(loss):
+            loss.backward()
+            return float(loss.data), {n: p.grad for n, p in params.items()}
+
+        loss, got = gradients(_batch_loss(model, images, sequences, text_of))
+        fv = project_to_shared(encode_images(Tensor(images), model.vit), model.proj_v)
+        ft = project_to_shared(encode_texts([sequences[k] for k in text_of], model.text), model.proj_t)
+        ref_loss, ref = gradients(contrastive_loss(similarity(fv, ft), model.temperature))
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        scale = max(np.max(np.abs(g)) for g in ref.values())
+        for name, g in ref.items():
+            assert got[name] is not None, name
+            assert np.max(np.abs(got[name] - g)) <= 1e-10 * scale, name
 
     def test_partial_batch_kept(self, rng):
         pairs = tiny_pairs(rng, n=8)  # batch 6 -> batches of 6 and 2

@@ -2,6 +2,7 @@
 differences, and Adam behavior."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from tsrmcl.tensor import (
     concat,
     l2_normalize,
     layer_norm,
+    linear,
     logsumexp,
     matmul,
     softmax,
@@ -88,6 +90,19 @@ class TestMatmul:
             np.testing.assert_allclose(out.data[i], a[i] @ w, atol=1e-14)
 
 
+class TestLinear:
+    def test_matches_matmul_plus_bias_bit_for_bit(self, rng):
+        x, w, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
+        out = linear(Tensor(x), Tensor(w), Tensor(b))
+        np.testing.assert_array_equal(out.data, (matmul(Tensor(x), Tensor(w)) + Tensor(b)).data)
+
+    def test_shape_mismatch_names_all_shapes(self):
+        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(4, 5\).*\(5,\)"):
+            linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))), Tensor(np.ones(5)))
+        with pytest.raises(DimensionError):
+            linear(Tensor(np.ones((2, 4))), Tensor(np.ones((4, 5))), Tensor(np.ones((1, 5))))
+
+
 class TestSoftmax:
     def test_symmetry(self):
         out = softmax(Tensor([3.7, 3.7, 3.7]), axis=0)
@@ -131,6 +146,13 @@ class TestLayerNorm:
         out = layer_norm(Tensor([1.0, 2.0, 3.0]), Tensor(np.ones(3)), Tensor(np.zeros(3)), eps=0.0)
         root = math.sqrt(1.5)
         np.testing.assert_allclose(out.data, [-root, 0.0, root], atol=1e-12)
+
+    def test_eps_zero_constant_row_rejected_without_warning(self):
+        x = Tensor([[1.0, 2.0, 3.0], [4.0, 4.0, 4.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="zero-variance"):
+                layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), eps=0.0)
 
     def test_pre_affine_rows_standardized(self, rng):
         x = rng.normal(size=(8, 16)) * 5 + 3
@@ -203,6 +225,15 @@ def _random_cases(rng):
     c25 = Tensor(rng.normal(size=(2, 5)))
     c44 = Tensor(rng.normal(size=(4, 4)))
     d44 = Tensor(rng.normal(size=(4, 4)))
+    x234 = Tensor(rng.normal(size=(2, 3, 4)))
+    w43 = Tensor(rng.normal(size=(4, 3)))
+    b3 = Tensor(rng.normal(size=3))
+    gain6 = Tensor(rng.normal(size=6))
+    bias6 = Tensor(rng.normal(size=6))
+    x236 = Tensor(rng.normal(size=(2, 3, 6)))
+    c64 = Tensor(rng.normal(size=(6, 4)))
+    span = Tensor(np.linspace(-6.0, 6.0, 13))
+    repeated = np.array([0, 2, 2, 1, 0, 2])
     return {
         "add": (lambda t: (t + c34 * 2.0).sum(), (3, 4)),
         "mul": (lambda t: (t * t).sum(), (3, 4)),
@@ -222,6 +253,14 @@ def _random_cases(rng):
             lambda t: (layer_norm(t, Tensor(np.ones(6)), Tensor(np.zeros(6)), 1e-5) ** 2.0).sum(),
             (4, 6),
         ),
+        "layer_norm_x": (lambda t: (layer_norm(t, gain6, bias6) ** 2.0).sum(), (2, 3, 6)),
+        "layer_norm_gain": (lambda t: (layer_norm(x236, t, bias6) ** 2.0).sum(), (6,)),
+        "layer_norm_bias": (lambda t: (layer_norm(x236, gain6, t) ** 2.0).sum(), (6,)),
+        "linear_x": (lambda t: (linear(t, w43, b3) ** 2.0).sum(), (2, 3, 4)),
+        "linear_w": (lambda t: (linear(x234, t, b3) ** 2.0).sum(), (4, 3)),
+        "linear_b": (lambda t: (linear(x234, w43, t) ** 2.0).sum(), (3,)),
+        "gelu_wide": (lambda t: (span + t * 0.25).gelu().sum(), (13,)),
+        "gather_repeated": (lambda t: (t[repeated] ** 2.0 * c64).sum(), (3, 4)),
         "l2_normalize": (lambda t: (l2_normalize(t) * c25).sum(), (2, 5)),
         "max_axis": (lambda t: t.max(axis=1).sum(), (4, 5)),
         "maximum": (lambda t: t.maximum(c44).sum(), (4, 4)),
