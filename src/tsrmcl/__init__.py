@@ -31,13 +31,11 @@ from .metrics import APReport, Detection, GroundTruth, ap50, map_suite, match_de
 from .tensor import AdamState, Tensor, adam_step, l2_normalize, layer_norm, matmul, softmax
 from .tokenizer import (
     KnowledgeBase,
-    SemanticTuple,
     TokenSequence,
     Vocab,
     build_vocab,
     detokenize,
     normalize,
-    parse_semantic_tuple,
     protect_numbers,
     tokenize,
 )

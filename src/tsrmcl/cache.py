@@ -1,20 +1,20 @@
-"""Semantic cache: memoized text embeddings keyed by normalized text and
-the text-encoder parameter fingerprint.
+"""Semantic cache: memoized text embeddings keyed by normalized text.
+
+All entries belong to the cache's one text-encoder fingerprint (a hash
+over every text-encoder tensor and the vocab); only ``reset`` changes
+it, and it drops them all. The model's fingerprint is checked against
+the cache once per ``get_or_encode`` or ``classify_image`` call,
+whatever the number of class texts; a hit then costs one ``normalize``
+plus one dict lookup.
 
 The cache is semantically transparent: any sequence of operations
 produces bit-identical outputs with it on or off. Readers run
 concurrently; a miss encodes outside the lock and publishes once, so
 duplicate concurrent misses converge to a single stored value.
-
-The fingerprint (a hash over every text-encoder tensor and the vocab)
-is checked against the cache once per call: once per ``get_or_encode``
-and once per ``classify_image``, whatever the number of class texts.
-After that check a hit costs one key hash plus one dict lookup.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from collections import OrderedDict
@@ -44,22 +44,21 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
-def _cache_key(text: str, fingerprint: int) -> int:
-    h = hashlib.blake2b(digest_size=8)
-    h.update(normalize(text).encode("utf-8"))
-    h.update(int(fingerprint).to_bytes(8, "little", signed=False))
-    return int.from_bytes(h.digest(), "little")
-
-
 class SemanticCache:
-    """Unbounded by default; pass ``max_entries`` for an LRU bound."""
+    """Embeddings keyed by ``normalize(text)``, all of one fingerprint that
+    only ``reset`` changes. Unbounded unless ``max_entries`` sets an LRU bound."""
 
     def __init__(self, fingerprint: int, max_entries: int | None = None):
-        self.fingerprint = int(fingerprint)
+        self._fingerprint = int(fingerprint)
         self.max_entries = max_entries
-        self._entries: OrderedDict[int, np.ndarray] = OrderedDict()
+        self._entries: OrderedDict[str, np.ndarray] = OrderedDict()
         self._lock = threading.Lock()
         self.stats = CacheStats()
+
+    @property
+    def fingerprint(self) -> int:
+        """The fingerprint every entry belongs to; only ``reset`` changes it."""
+        return self._fingerprint
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -74,9 +73,9 @@ class SemanticCache:
         with self._lock:
             self._entries.clear()
             self.stats = CacheStats()
-            self.fingerprint = int(fingerprint)
+            self._fingerprint = int(fingerprint)
 
-    def _get(self, key: int) -> np.ndarray | None:
+    def _get(self, key: str) -> np.ndarray | None:
         with self._lock:
             hit = self._entries.get(key)
             if hit is None:
@@ -87,8 +86,10 @@ class SemanticCache:
                 self._entries.move_to_end(key)
             return hit
 
-    def _put(self, key: int, value: np.ndarray) -> np.ndarray:
+    def _put(self, key: str, value: np.ndarray, fingerprint: int) -> np.ndarray:
         with self._lock:
+            if fingerprint != self._fingerprint:  # reset while ``value`` was encoded
+                return value
             existing = self._entries.get(key)
             if existing is not None:
                 return existing
@@ -113,13 +114,13 @@ def _checked_fingerprint(model, cache: SemanticCache) -> int:
 
 def _lookup(text: str, model, cache: SemanticCache, fp: int) -> np.ndarray:
     """Keyed lookup for a fingerprint already checked against ``cache``."""
-    key = _cache_key(text, fp)
+    key = normalize(text)
     hit = cache._get(key)
     if hit is not None:
         return hit
     value = model.embed_text(text)  # outside the lock on purpose
     value.flags.writeable = False
-    return cache._put(key, value)
+    return cache._put(key, value, fp)
 
 
 def get_or_encode(text: str, model, cache: SemanticCache) -> np.ndarray:
@@ -128,7 +129,7 @@ def get_or_encode(text: str, model, cache: SemanticCache) -> np.ndarray:
     The model's current text fingerprint must match the cache's;
     otherwise the cache is stale and must be cleared via ``reset``.
     The fingerprint is computed and checked once per call; a hit then
-    costs one key hash plus one dict lookup.
+    costs one ``normalize`` plus one dict lookup.
     """
     return _lookup(text, model, cache, _checked_fingerprint(model, cache))
 

@@ -97,9 +97,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _bad_item(self)
-
     def to_numpy(self) -> np.ndarray:
         return np.array(self.data)
 
@@ -179,21 +176,11 @@ class Tensor:
         y = np.exp(self.data)
         return Tensor._from_op(y, (self,), lambda g: (g * y,), "exp")
 
-    def log(self):
-        if np.any(self.data <= 0.0):
-            raise ContractError("log requires strictly positive input")
-        x = self.data
-        return Tensor._from_op(np.log(x), (self,), lambda g: (g / x,), "log")
-
     def sqrt(self):
         if np.any(self.data < 0.0):
             raise ContractError("sqrt requires nonnegative input")
         y = np.sqrt(self.data)
         return Tensor._from_op(y, (self,), lambda g: (g * 0.5 / y,), "sqrt")
-
-    def tanh(self):
-        y = np.tanh(self.data)
-        return Tensor._from_op(y, (self,), lambda g: (g * (1.0 - y * y),), "tanh")
 
     def sigmoid(self):
         # split by sign for stability
@@ -237,10 +224,6 @@ class Tensor:
             return (np.broadcast_to(gx, x.shape).copy(),)
 
         return Tensor._from_op(out, (self,), grad_fn, "sum")
-
-    def mean(self, axis=None, keepdims: bool = False):
-        count = self.size if axis is None else np.prod([self.shape[a] for a in np.atleast_1d(axis)])
-        return self.sum(axis=axis, keepdims=keepdims) / float(count)
 
     def max(self, axis=None, keepdims: bool = False):
         """Max reduction; the gradient routes to the first maximal element."""
@@ -321,11 +304,9 @@ class Tensor:
         out = x[key]
 
         def grad_fn(g):
+            # scatter-add, so an index repeated by an advanced key counts each time
             gx = np.zeros_like(x)
-            if isinstance(key, np.ndarray) and key.dtype.kind in "iu":
-                np.add.at(gx, key, g)
-            else:
-                gx[key] += g
+            np.add.at(gx, key, g)
             return (gx,)
 
         return Tensor._from_op(np.array(out), (self,), grad_fn, "getitem")
@@ -375,10 +356,6 @@ class Tensor:
                     continue
                 acc = grads.get(id(parent))
                 grads[id(parent)] = pg if acc is None else acc + pg
-
-
-def _bad_item(t: Tensor):
-    raise ContractError(f"item() on non-scalar tensor of shape {t.shape}")
 
 
 # -- free functions ------------------------------------------------------

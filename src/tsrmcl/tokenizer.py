@@ -1,5 +1,5 @@
-"""Regulation-aware text front end: normalization, semantic-tuple
-extraction, number protection, and BPE sub-word tokenization.
+"""Regulation-aware text front end: normalization, number protection,
+BPE sub-word tokenization, and the category-code knowledge base.
 
 The BPE here keeps whitespace as its own atomic symbol and learns
 merges strictly within words, so detokenization is a plain
@@ -12,7 +12,6 @@ unseen at build time map to [NUM], the surface kept in protected spans.
 from __future__ import annotations
 
 import json
-import logging
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -21,29 +20,19 @@ from importlib import resources
 from .errors import ContractError
 
 __all__ = [
-    "SemanticTuple",
-    "NumericConstraint",
     "Vocab",
     "TokenSequence",
     "KnowledgeBase",
     "normalize",
     "protect_numbers",
-    "parse_semantic_tuple",
     "build_vocab",
     "tokenize",
     "detokenize",
 ]
 
-log = logging.getLogger(__name__)
-
-KINDS = {"warning", "prohibition", "mandatory", "information", "unknown"}
-SHAPES = {"circular", "triangular", "rectangular", "octagonal", "unknown"}
-UNITS = {"km/h", "m", "t", "none"}
-
 RESERVED = ("[CLS]", "[SEP]", "[PAD]", "[UNK]", "[NUM]")
 
 _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
-_NUMBER_UNIT_RE = re.compile(r"(\d+(?:\.\d+)?)(?: (km/h|m|t)\b)?")
 _DIGIT_LETTER_RE = re.compile(r"(\d)(?=[a-z])")
 _LETTER_DIGIT_RE = re.compile(r"([a-z])(?=\d)")
 _UNIT_CANON = [
@@ -78,36 +67,7 @@ def protect_numbers(text: str) -> tuple[str, list[tuple[int, int, str]]]:
     return text, spans
 
 
-# -- semantic tuples ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NumericConstraint:
-    value: float
-    unit: str = "none"
-
-    def __post_init__(self):
-        if not (self.value >= 0.0 and self.value == self.value):
-            raise ContractError(f"numeric constraint must be finite and nonnegative: {self.value}")
-        if self.unit not in UNITS:
-            raise ContractError(f"unknown unit {self.unit!r}")
-
-
-@dataclass(frozen=True)
-class SemanticTuple:
-    """Structured parse of a sign description."""
-
-    kind: str = "unknown"
-    shape: str = "unknown"
-    color: str = "unknown"
-    action: str | None = None
-    numeric: NumericConstraint | None = None
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ContractError(f"kind {self.kind!r} outside {sorted(KINDS)}")
-        if self.shape not in SHAPES:
-            raise ContractError(f"shape {self.shape!r} outside {sorted(SHAPES)}")
+# -- knowledge base ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -123,11 +83,11 @@ class _Rule:
 
 
 class KnowledgeBase:
-    """Priority-ordered regex rules for descriptions and category codes.
+    """Priority-ordered regex rules that expand a category code.
 
-    Loaded from a JSON array of {pattern, field, value, priority}.
-    Text-parsing rules use fields kind/shape/color/action; category-code
-    expansion rules use code.* fields with backreference templates.
+    Loaded from a JSON array of {pattern, field, value, priority}. The
+    code.shape/color/action/numeric rules fill the description template,
+    and a value may hold backreferences; the "meta" rule labels the file.
     """
 
     def __init__(self, rules):
@@ -156,26 +116,6 @@ class KnowledgeBase:
             if m:
                 return m.expand(rule.value)
         return None
-
-
-def _parse_numeric(text: str) -> NumericConstraint | None:
-    m = _NUMBER_UNIT_RE.search(text)
-    if not m:
-        return None
-    return NumericConstraint(float(m.group(1)), m.group(2) or "none")
-
-
-def parse_semantic_tuple(text: str, kb: KnowledgeBase) -> SemanticTuple:
-    """Fill tuple fields by first-match priority rules; unmatched fields
-    stay unknown/absent. Total: never raises on description text."""
-    norm = normalize(text)
-    return SemanticTuple(
-        kind=kb.first_match("kind", norm) or "unknown",
-        shape=kb.first_match("shape", norm) or "unknown",
-        color=kb.first_match("color", norm) or "unknown",
-        action=kb.first_match("action", norm),
-        numeric=_parse_numeric(norm),
-    )
 
 
 # -- vocabulary --------------------------------------------------------------

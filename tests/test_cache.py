@@ -98,6 +98,26 @@ class TestStaleness:
         assert len(cache) == 0
         assert cache.stats.lookups == 0
 
+    def test_fingerprint_is_read_only(self, cache):
+        with pytest.raises(AttributeError):
+            cache.fingerprint = cache.fingerprint ^ 1
+
+    def test_miss_encoded_before_a_reset_is_not_stored(self, model, cache):
+        class ResetWhileEncoding:
+            """The model, with a ``reset`` landing between miss and publish."""
+
+            def text_fingerprint(self):
+                return model.text_fingerprint()
+
+            def embed_text(self, text):
+                cache.reset(cache.fingerprint ^ 1)
+                return model.embed_text(text)
+
+        got = get_or_encode(TEXTS[0], ResetWhileEncoding(), cache)
+        np.testing.assert_array_equal(got, model.embed_text(TEXTS[0]))
+        assert len(cache) == 0
+        assert cache.stats.bytes_resident == 0
+
 
 class TestEviction:
     def test_lru_bound_evicts_oldest(self, model):

@@ -1,5 +1,5 @@
 """Rule-enhanced text front end: normalization, number protection,
-semantic tuples, BPE merge learning, tokenization round trips."""
+BPE merge learning, tokenization round trips, the knowledge-base file."""
 
 import json
 from functools import lru_cache
@@ -11,13 +11,10 @@ from hypothesis import given, settings, strategies as st
 from tsrmcl.errors import ContractError
 from tsrmcl.tokenizer import (
     KnowledgeBase,
-    NumericConstraint,
-    SemanticTuple,
     Vocab,
     build_vocab,
     detokenize,
     normalize,
-    parse_semantic_tuple,
     protect_numbers,
     tokenize,
 )
@@ -124,48 +121,6 @@ class TestProtectNumbers:
     def test_multiple_maximal_literals(self):
         _, spans = protect_numbers("from 10 to 120.5")
         assert [s[2] for s in spans] == ["10", "120.5"]
-
-
-class TestSemanticTuple:
-    def test_paper_style_mandatory_example(self, kb):
-        t = parse_semantic_tuple(
-            "a circular blue sign with a white arrow indicating straight ahead", kb
-        )
-        assert t == SemanticTuple(
-            kind="mandatory", shape="circular", color="blue",
-            action="straight ahead", numeric=None,
-        )
-
-    def test_empty_text_all_unknown(self, kb):
-        t = parse_semantic_tuple("", kb)
-        assert (t.kind, t.shape, t.color, t.action, t.numeric) == (
-            "unknown", "unknown", "unknown", None, None)
-
-    def test_prohibition_with_numeric(self, kb):
-        t = parse_semantic_tuple("speed limit 40 km/h prohibition circular red", kb)
-        assert t.kind == "prohibition"
-        assert t.numeric == NumericConstraint(40.0, "km/h")
-
-    def test_warning_triangle(self, kb):
-        t = parse_semantic_tuple("a triangular yellow sign warning of children ahead", kb)
-        assert t.kind == "warning"
-        assert t.shape == "triangular"
-        assert t.action == "children ahead"
-
-    def test_order_insensitive_for_disjoint_phrases(self, kb):
-        a = parse_semantic_tuple("a circular red sign indicating no parking", kb)
-        b = parse_semantic_tuple("indicating no parking a red circular sign", kb)
-        assert (a.kind, a.shape, a.color) == (b.kind, b.shape, b.color)
-
-    def test_enums_are_closed(self):
-        with pytest.raises(ContractError):
-            SemanticTuple(kind="bogus")
-        with pytest.raises(ContractError):
-            SemanticTuple(shape="blob")
-        with pytest.raises(ContractError):
-            NumericConstraint(-1.0, "km/h")
-        with pytest.raises(ContractError):
-            NumericConstraint(5.0, "miles")
 
 
 class TestBuildVocab:

@@ -3,6 +3,8 @@ convolution, T-CSP text gating, and I-Pooling attention."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tsrmcl.errors import ContractError, DimensionError
 from tsrmcl.tensor import Tensor
@@ -17,6 +19,17 @@ from tsrmcl.vision import (
 )
 
 from conftest import check_op_gradient
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def spd_maps(draw):
+    """(x, s): an H x W x C map of any finite values, with s dividing H and W."""
+    s = draw(st.integers(1, 4))
+    shape = (s * draw(st.integers(1, 4)), s * draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    return draw(arrays(np.float64, shape, elements=st.floats(allow_nan=False, allow_infinity=False))), s
 
 
 def sigmoid(x):
@@ -52,6 +65,14 @@ class TestSPD:
             x = rng.normal(size=(h, w, c))
             back = spd_inverse(spd_rearrange(Tensor(x), s), s)
             np.testing.assert_array_equal(back.data, x)
+
+    @PROPERTY
+    @given(case=spd_maps())
+    def test_round_trip_bit_exact_property(self, case):
+        x, s = case
+        back = spd_inverse(spd_rearrange(Tensor(x), s), s)
+        assert back.shape == x.shape
+        assert back.data.tobytes() == x.tobytes()
 
     def test_lossless_multiset(self, rng):
         x = rng.normal(size=(8, 8, 3))
