@@ -446,11 +446,7 @@ def train(pairs, config: TrainConfig):
                 log.warning("batch of size 1 at epoch %d: contrastive loss is trivially 0", epoch)
             loss = _batch_loss(model, images[batch], sequences, text_of[batch])
             loss.backward()
-            grads = {
-                name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-                for name, p in params.items()
-            }
-            params, state = adam_step(params, grads, state)
+            params, state = adam_step(params, {name: p.grad for name, p in params.items()}, state)
             model = model.with_params(params)
             total += float(loss.data) * len(batch)
         mean_loss = total / len(pairs)

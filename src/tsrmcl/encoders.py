@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 from .tensor import Tensor, concat, l2_normalize, layer_norm, linear, matmul, softmax, uniform_init
-from .tokenizer import TokenSequence
 
 __all__ = [
     "ViTConfig",
@@ -221,7 +220,7 @@ def encode_images(images: Tensor, params: EncoderParams) -> Tensor:
 def _ids_and_mask(sequences, cfg: TextEncoderConfig) -> tuple[np.ndarray, np.ndarray]:
     rows = []
     for seq in sequences:
-        ids = list(seq.ids) if isinstance(seq, TokenSequence) else list(seq)
+        ids = list(seq.ids)
         if len(ids) > cfg.max_len:
             raise ContractError(f"sequence length {len(ids)} exceeds max {cfg.max_len}")
         rows.append(ids)

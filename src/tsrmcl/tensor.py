@@ -225,20 +225,9 @@ class Tensor:
 
         return Tensor._from_op(out, (self,), grad_fn, "sum")
 
-    def max(self, axis=None, keepdims: bool = False):
-        """Max reduction; the gradient routes to the first maximal element."""
+    def max(self, axis: int, keepdims: bool = False):
+        """Max over one axis; the gradient routes to the first maximal element."""
         x = self.data
-        if axis is None:
-            out = x.max()
-            idx = np.unravel_index(np.argmax(x), x.shape)
-
-            def grad_fn(g):
-                gx = np.zeros_like(x)
-                gx[idx] = g
-                return (gx,)
-
-            return Tensor._from_op(out, (self,), grad_fn, "max")
-
         out = x.max(axis=axis, keepdims=keepdims)
         arg = np.expand_dims(np.argmax(x, axis=axis), axis)
 

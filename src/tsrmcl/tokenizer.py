@@ -3,7 +3,10 @@ BPE sub-word tokenization, and the category-code knowledge base.
 
 The BPE here keeps whitespace as its own atomic symbol and learns
 merges strictly within words, so detokenization is a plain
-concatenation of token surfaces. Number protection is chosen once, by
+concatenation of token surfaces. ``tokenize`` applies merges by rank
+(Sennrich et al. 2016): it joins the lowest-ranked adjacent pair with
+the same one-pair pass ``build_vocab`` learns it with, until no pair in
+the word has a rank. Number protection is chosen once, by
 ``build_vocab``, and the vocab carries it to ``tokenize``: each numeric
 literal is then one atomic token that merges never split, and literals
 unseen at build time map to [NUM], the surface kept in protected spans.
@@ -33,6 +36,7 @@ __all__ = [
 RESERVED = ("[CLS]", "[SEP]", "[PAD]", "[UNK]", "[NUM]")
 
 _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
+_SYMBOL_RE = re.compile(rf"{_NUMBER_RE.pattern}|.", re.S)
 _DIGIT_LETTER_RE = re.compile(r"(\d)(?=[a-z])")
 _LETTER_DIGIT_RE = re.compile(r"([a-z])(?=\d)")
 _UNIT_CANON = [
@@ -133,6 +137,7 @@ class Vocab:
 
     def __post_init__(self):
         self.token_to_id = {t: i for i, t in enumerate(self.tokens)}
+        self.ranks = {pair: rank for rank, pair in enumerate(self.merges)}
         missing = [t for t in RESERVED if t not in self.reserved]
         if missing:
             raise ContractError(f"vocab missing reserved tokens: {missing}")
@@ -173,17 +178,31 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        """Read a saved vocab; no boolean number_protection raises ContractError."""
+        """Read a saved vocab. ContractError if number_protection is not a
+        boolean, or if the merges are not in an order that applying them
+        by rank reproduces: every operand must be a base token (one ahead
+        of the merge products) or an earlier product, and no product may
+        repeat a base token or an earlier product."""
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         if not isinstance(doc.get("number_protection"), bool):
             raise ContractError(f"{path}: no boolean number_protection; rebuild the vocab")
-        return cls(
+        vocab = cls(
             tokens=list(doc["tokens"]),
             merges=[tuple(m) for m in doc["merges"]],
             reserved={k: int(v) for k, v in doc["reserved"].items()},
             number_protection=doc["number_protection"],
         )
+        known = set(vocab.tokens[: max(len(vocab.tokens) - len(vocab.merges), 0)])
+        for k, (a, b) in enumerate(vocab.merges):
+            if a not in known or b not in known:
+                raise ContractError(
+                    f"{path}: merges[{k}] operand is neither a base token nor an earlier product"
+                )
+            if a + b in known:
+                raise ContractError(f"{path}: merges[{k}] product {a + b!r} repeats an earlier token")
+            known.add(a + b)
+        return vocab
 
 
 @dataclass(frozen=True)
@@ -194,66 +213,34 @@ class TokenSequence:
     protected_spans: tuple[tuple[int, int, str], ...] = ()
 
 
-def _word_symbols(word: str, word_start: int, spans) -> tuple[tuple[str, ...], tuple[bool, ...]]:
-    """Split one word into (symbols, protected flags) respecting spans."""
-    cuts = []
-    for s, e, _ in spans:
-        s -= word_start
-        e -= word_start
-        if 0 <= s and e <= len(word):
-            cuts.append((s, e))
-    syms: list[str] = []
-    flags: list[bool] = []
-    pos = 0
-    for s, e in sorted(cuts):
-        for ch in word[pos:s]:
-            syms.append(ch)
-            flags.append(False)
-        syms.append(word[s:e])
-        flags.append(True)
-        pos = e
-    for ch in word[pos:]:
-        syms.append(ch)
-        flags.append(False)
-    return tuple(syms), tuple(flags)
-
-
-def _pretokenize(norm: str, spans) -> list[tuple[tuple[str, ...], tuple[bool, ...]]]:
-    """Words of a normalized text as symbol sequences with protection flags."""
+def _words(norm: str, protect: bool) -> list[tuple[tuple[str, ...], tuple[bool, ...]]]:
+    """Words of a normalized text as (symbols, protected flags). With
+    ``protect``, each number literal is one protected symbol; every other
+    character is its own symbol. A literal never holds a space, so each
+    word is cut on its own."""
     words = []
-    pos = 0
-    for word in norm.split(" "):
-        if word:
-            rel = [sp for sp in spans if pos <= sp[0] and sp[1] <= pos + len(word)]
-            words.append(_word_symbols(word, pos, rel))
-        pos += len(word) + 1
+    for word in norm.split():
+        syms = tuple(_SYMBOL_RE.findall(word) if protect else word)
+        words.append((syms, tuple(protect and _NUMBER_RE.match(sym) is not None for sym in syms)))
     return words
 
 
-def _apply_merges(syms, flags, merges) -> list[str]:
-    syms = list(syms)
-    flags = list(flags)
-    for a, b in merges:
-        i = 0
-        out_s: list[str] = []
-        out_f: list[bool] = []
-        while i < len(syms):
-            if (
-                i + 1 < len(syms)
-                and syms[i] == a
-                and syms[i + 1] == b
-                and not flags[i]
-                and not flags[i + 1]
-            ):
-                out_s.append(a + b)
-                out_f.append(False)
-                i += 2
-            else:
-                out_s.append(syms[i])
-                out_f.append(flags[i])
-                i += 1
-        syms, flags = out_s, out_f
-    return syms, flags
+def _merge(syms, flags, pair) -> tuple[tuple[str, ...], tuple[bool, ...]]:
+    """One left-to-right pass joining every unprotected adjacent ``pair``."""
+    a, b = pair
+    out_s: list[str] = []
+    out_f: list[bool] = []
+    i = 0
+    while i < len(syms):
+        if i + 1 < len(syms) and syms[i] == a and syms[i + 1] == b and not (flags[i] or flags[i + 1]):
+            out_s.append(a + b)
+            out_f.append(False)
+            i += 2
+        else:
+            out_s.append(syms[i])
+            out_f.append(flags[i])
+            i += 1
+    return tuple(out_s), tuple(out_f)
 
 
 def build_vocab(corpus, target_size: int = 2048, number_protection: bool = True) -> Vocab:
@@ -278,11 +265,9 @@ def build_vocab(corpus, target_size: int = 2048, number_protection: bool = True)
     saw_space = False
     for line in corpus:
         norm = normalize(line)
-        spans = protect_numbers(norm)[1] if number_protection else []
         if " " in norm:
             saw_space = True
-        for seq in _pretokenize(norm, spans):
-            word_freq[seq] += 1
+        word_freq.update(_words(norm, number_protection))
 
     base: set[str] = {" "} if saw_space else set()
     for (syms, flags) in word_freq:
@@ -308,9 +293,8 @@ def build_vocab(corpus, target_size: int = 2048, number_protection: bool = True)
         merges.append(best)
         budget -= 1
         new_seqs: dict = {}
-        for (syms, flags), f in seqs.items():
-            ns, nf = _apply_merges(syms, flags, [best])
-            key = (tuple(ns), tuple(nf))
+        for seq, f in seqs.items():
+            key = _merge(*seq, best)
             new_seqs[key] = new_seqs.get(key, 0) + f
         seqs = new_seqs
 
@@ -328,11 +312,19 @@ def tokenize(text: str, vocab: Vocab) -> TokenSequence:
     spans = tuple(protect_numbers(norm)[1]) if vocab.number_protection else ()
     ids: list[int] = [vocab.cls_id]
     space_id = vocab.token_to_id.get(" ", vocab.unk_id)
+    ranks = vocab.ranks
     # normalize() leaves single spaces only, so one space token joins each word pair
-    for i, (syms, flags) in enumerate(_pretokenize(norm, spans)):
+    for i, (syms, flags) in enumerate(_words(norm, vocab.number_protection)):
         if i:
             ids.append(space_id)
-        syms, flags = _apply_merges(syms, flags, vocab.merges)
+        while True:
+            pairs = [
+                (syms[j], syms[j + 1]) for j in range(len(syms) - 1) if not (flags[j] or flags[j + 1])
+            ]
+            best = min(pairs, key=lambda p: ranks.get(p, len(ranks)), default=None)
+            if best not in ranks:
+                break
+            syms, flags = _merge(syms, flags, best)
         for sym, protected in zip(syms, flags):
             ids.append(vocab.token_to_id.get(sym, vocab.num_id if protected else vocab.unk_id))
     ids.append(vocab.sep_id)

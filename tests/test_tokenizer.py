@@ -2,6 +2,7 @@
 BPE merge learning, tokenization round trips, the knowledge-base file."""
 
 import json
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -10,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from tsrmcl.errors import ContractError
 from tsrmcl.tokenizer import (
+    RESERVED,
     KnowledgeBase,
     Vocab,
+    _words,
     build_vocab,
     detokenize,
     normalize,
@@ -80,6 +83,31 @@ def assert_spans_never_split(text, vocab):
         assert covering == [(s, e)], (
             f"span {lit!r} at {(s, e)} split across tokens {covering} in {text!r}"
         )
+
+
+def walk_ids(text, vocab):
+    """Reference tokenizer: every word walks the whole merge list in order,
+    each merge one left-to-right pass that skips protected symbols."""
+    ids = [vocab.cls_id]
+    for w, (syms, flags) in enumerate(_words(normalize(text), vocab.number_protection)):
+        if w:
+            ids.append(vocab.token_to_id.get(" ", vocab.unk_id))
+        for a, b in vocab.merges:
+            i, out_s, out_f = 0, [], []
+            while i < len(syms):
+                if (i + 1 < len(syms) and (syms[i], syms[i + 1]) == (a, b)
+                        and not flags[i] and not flags[i + 1]):
+                    out_s.append(a + b)
+                    out_f.append(False)
+                    i += 2
+                else:
+                    out_s.append(syms[i])
+                    out_f.append(flags[i])
+                    i += 1
+            syms, flags = out_s, out_f
+        for sym, protected in zip(syms, flags):
+            ids.append(vocab.token_to_id.get(sym, vocab.num_id if protected else vocab.unk_id))
+    return ids + [vocab.sep_id]
 
 
 class TestNormalize:
@@ -268,6 +296,35 @@ class TestProperties:
         assert_spans_never_split(text, vocab)
 
 
+@st.composite
+def tiny_corpus(draw):
+    """Texts over a tiny alphabet, where merge products collide often."""
+    alphabet = draw(st.sampled_from(["ab ", "aab ", "ab1. "]))
+    text = st.text(st.sampled_from(alphabet), max_size=24)
+    return draw(st.lists(text, min_size=1, max_size=8)), draw(st.lists(text, max_size=6))
+
+
+@pytest.mark.parametrize("number_protection", [True, False], ids=["protected", "plain"])
+class TestMergeRanks:
+    @PROPERTY
+    @given(corpus_texts=tiny_corpus(), target=st.integers(6, 40))
+    def test_rank_order_matches_merge_list_walk(self, number_protection, corpus_texts, target):
+        corpus, texts = corpus_texts
+        vocab = build_vocab(corpus, target_size=target, number_protection=number_protection)
+        for text in corpus + texts:
+            assert list(tokenize(text, vocab).ids) == walk_ids(text, vocab)
+
+    @PROPERTY
+    @given(corpus_texts=tiny_corpus(), target=st.integers(6, 40))
+    def test_built_vocab_passes_load_check(self, number_protection, corpus_texts,
+                                           target, tmp_path_factory):
+        vocab = build_vocab(corpus_texts[0], target_size=target,
+                            number_protection=number_protection)
+        p = tmp_path_factory.mktemp("vocab") / "vocab.json"
+        vocab.save(p)
+        assert Vocab.load(p).merges == vocab.merges
+
+
 class TestVocabFile:
     def test_schema_fields(self, tmp_path):
         v = build_vocab(["speed limit 40 km/h"], target_size=128)
@@ -289,6 +346,23 @@ class TestVocabFile:
         del doc["number_protection"]
         p.write_text(json.dumps(doc))
         with pytest.raises(ContractError, match=str(p)):
+            Vocab.load(p)
+
+    @pytest.mark.parametrize("extra, merges, bad", [
+        (["a", "b", "aba", "ab"], [["ab", "a"], ["a", "b"]], 0),
+        (["a", "b", "ac"], [["a", "c"]], 0),
+        (["a", "b", "ab", "ab"], [["a", "b"]], 0),
+        (["a", "b", "c", "ab", "bc", "abc", "abc"],
+         [["a", "b"], ["b", "c"], ["ab", "c"], ["a", "bc"]], 3),
+    ], ids=["operand-before-its-merge", "operand-unknown",
+            "product-repeats-base", "product-repeats-product"])
+    def test_merges_rank_order_cannot_reproduce_rejected(self, tmp_path, extra, merges, bad):
+        p = tmp_path / "vocab.json"
+        p.write_text(json.dumps({
+            "tokens": list(RESERVED) + extra, "merges": merges,
+            "reserved": {t: i for i, t in enumerate(RESERVED)}, "number_protection": True,
+        }))
+        with pytest.raises(ContractError, match=rf"{re.escape(str(p))}: merges\[{bad}\]"):
             Vocab.load(p)
 
     def test_missing_reserved_rejected(self):
