@@ -1,11 +1,11 @@
 """Semantic cache: memoized text embeddings keyed by normalized text.
 
 All entries belong to the cache's one text-encoder fingerprint (a hash
-over every text-encoder tensor and the vocab); only ``reset`` changes
-it, and it drops them all. The model's fingerprint is checked against
-the cache once per ``get_or_encode`` or ``classify_image`` call,
-whatever the number of class texts; a hit then costs one ``normalize``
-plus one dict lookup.
+over the text config, every text-encoder tensor, the text projection and
+the vocab); only ``reset`` changes it, and it drops them all. A model is
+a value, so its fingerprint is computed once per model and kept; it is
+checked against the cache's on every lookup, and a hit then costs one
+``normalize`` plus one dict lookup.
 
 The cache is semantically transparent: any sequence of operations
 produces bit-identical outputs with it on or off. Readers run
@@ -102,18 +102,20 @@ class SemanticCache:
             return value
 
 
-def _checked_fingerprint(model, cache: SemanticCache) -> int:
-    """The model's text fingerprint, if it matches the cache's."""
+def get_or_encode(text: str, model, cache: SemanticCache) -> np.ndarray:
+    """Return the embedding of ``text``, encoding on first touch.
+
+    The model's text fingerprint, computed once per model, is checked
+    against the cache's on every lookup; a mismatch means the cache is
+    stale (``reset`` adopts the new fingerprint) and raises
+    ``StaleCacheError`` before anything is encoded. A hit then costs one
+    ``normalize`` plus one dict lookup.
+    """
     fp = model.text_fingerprint()
     if fp != cache.fingerprint:
         raise StaleCacheError(
             f"cache fingerprint {cache.fingerprint:#x} does not match encoder {fp:#x}"
         )
-    return fp
-
-
-def _lookup(text: str, model, cache: SemanticCache, fp: int) -> np.ndarray:
-    """Keyed lookup for a fingerprint already checked against ``cache``."""
     key = normalize(text)
     hit = cache._get(key)
     if hit is not None:
@@ -121,17 +123,6 @@ def _lookup(text: str, model, cache: SemanticCache, fp: int) -> np.ndarray:
     value = model.embed_text(text)  # outside the lock on purpose
     value.flags.writeable = False
     return cache._put(key, value, fp)
-
-
-def get_or_encode(text: str, model, cache: SemanticCache) -> np.ndarray:
-    """Return the embedding of ``text``, encoding on first touch.
-
-    The model's current text fingerprint must match the cache's;
-    otherwise the cache is stale and must be cleared via ``reset``.
-    The fingerprint is computed and checked once per call; a hit then
-    costs one ``normalize`` plus one dict lookup.
-    """
-    return _lookup(text, model, cache, _checked_fingerprint(model, cache))
 
 
 def bench_cache(model, texts, images, repeats: int = 1) -> dict:

@@ -6,17 +6,22 @@ encoders together.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import logging
 import math
 import os
 import zipfile
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 from numpy.lib import format as npy_format
 
+from . import cache as semantic_cache
 from .errors import ContractError, DimensionError
 from .encoders import (
     EncoderParams,
@@ -50,7 +55,7 @@ UNIT_TOL = 1e-9
 TAU_CEILING = 100.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Temperature:
     """Learnable temperature tau = min(exp(gamma), TAU_CEILING), positive
     by construction; the module constant ``TAU_CEILING`` (100) guards long
@@ -138,16 +143,23 @@ def _fitting_tokens(text: str, vocab: Vocab, max_len: int, what: str = "text"):
 # -- the bundled model ---------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class DualEncoderModel:
-    """Both encoders, their projections, the temperature, and the vocab."""
+    """A value: both encoders, their projections (read-only mappings), the
+    temperature and the vocab. Nothing in it can be reassigned or edited in
+    place, so its text fingerprint is computed once and kept; training
+    moves to a new model with ``with_params``."""
 
     vit: EncoderParams
     text: EncoderParams
-    proj_v: dict
-    proj_t: dict
+    proj_v: Mapping[str, Tensor]
+    proj_t: Mapping[str, Tensor]
     temperature: Temperature
     vocab: Vocab
+
+    def __post_init__(self):
+        object.__setattr__(self, "proj_v", MappingProxyType(dict(self.proj_v)))
+        object.__setattr__(self, "proj_t", MappingProxyType(dict(self.proj_t)))
 
     # flat parameter dict <-> structured views ---------------------------
 
@@ -199,17 +211,20 @@ class DualEncoderModel:
         return project_to_shared(f, self.proj_t).to_numpy()[0]
 
     def text_fingerprint(self) -> int:
-        """64-bit digest over everything the text embedding depends on."""
-        import hashlib
+        """64-bit digest over everything the text embedding reads: the text
+        config, every text-encoder tensor, the text projection and the
+        vocab (tokens, merges and policy). Computed on first use and kept."""
+        return self._text_digest
 
+    @cached_property
+    def _text_digest(self) -> int:
         h = hashlib.blake2b(digest_size=8)
+        h.update(repr((self.text.config, self.vocab)).encode())
         for name in sorted(self.text.tensors):
             h.update(name.encode())
             h.update(self.text.tensors[name].data.tobytes())
         for name in ("w", "b"):
             h.update(self.proj_t[name].data.tobytes())
-        h.update(json.dumps(self.vocab.tokens, ensure_ascii=False).encode())
-        h.update(b"np1" if self.vocab.number_protection else b"np0")
         return int.from_bytes(h.digest(), "little")
 
     # checkpointing -------------------------------------------------------
@@ -310,24 +325,20 @@ def _read_params(path, shapes: dict) -> dict[str, Tensor]:
 def classify_image(model: DualEncoderModel, image, class_texts, cache=None) -> np.ndarray:
     """Probability vector of an image against the class text list.
 
-    With a ``cache``, the model's text fingerprint is computed and checked
-    against the cache once per call, before anything is encoded; a
-    mismatch raises ``StaleCacheError``. Each class text then costs one
-    key hash plus one dict lookup on a hit, or one text encode on a miss.
+    The class rows are built before the image is embedded. With a
+    ``cache``, each comes from ``cache.get_or_encode``, which checks the
+    model's text fingerprint (computed once per model) against the cache
+    on every lookup, so a stale cache raises ``StaleCacheError`` before
+    anything is encoded. A hit costs one key ``normalize`` plus one dict
+    lookup; a miss one text encode.
     """
     if not class_texts:
         raise ContractError("classify_image needs at least one class text")
-    embed = model.embed_text
-    if cache is not None:
-        from .cache import _checked_fingerprint, _lookup
-
-        fp = _checked_fingerprint(model, cache)
-
-        def embed(text):
-            return _lookup(text, model, cache, fp)
-
+    if cache is None:
+        cls = np.stack([model.embed_text(t) for t in class_texts])
+    else:
+        cls = np.stack([semantic_cache.get_or_encode(t, model, cache) for t in class_texts])
     f_v = model.embed_images(np.asarray(image)[None])[0]
-    cls = np.stack([embed(t) for t in class_texts])
     return classify(f_v, cls, model.temperature)
 
 

@@ -10,7 +10,9 @@ residual+norm. Positional encodings are a fixed sinusoidal table, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -71,12 +73,15 @@ class TextEncoderConfig:
             raise ContractError("vocab must at least hold the reserved tokens")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderParams:
-    """Weight tensors plus the config that shapes them."""
+    """Weight tensors, as a read-only mapping, plus the config that shapes them."""
 
     config: object
-    tensors: dict[str, Tensor] = dc_field(default_factory=dict)
+    tensors: Mapping[str, Tensor]
+
+    def __post_init__(self):
+        object.__setattr__(self, "tensors", MappingProxyType(dict(self.tensors)))
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.{k}": v for k, v in self.tensors.items()}

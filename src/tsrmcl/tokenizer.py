@@ -17,8 +17,9 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
+from types import MappingProxyType
 
 from .errors import ContractError
 
@@ -125,74 +126,59 @@ class KnowledgeBase:
 # -- vocabulary --------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Vocab:
-    """BPE tokens and merges, reserved ids, and the number-protection
-    policy ``build_vocab`` was given, which ``tokenize`` applies."""
+    """A value: BPE tokens, reserved ones first in ``RESERVED`` order (so
+    their ids are the class constants below), the merges, and the
+    number-protection policy ``build_vocab`` was given, which ``tokenize``
+    applies. Tokens and merges are tuples and the lookups derived from
+    them are read-only."""
 
-    tokens: list[str]
-    merges: list[tuple[str, str]]
-    reserved: dict[str, int] = field(default_factory=dict)
+    tokens: tuple[str, ...]
+    merges: tuple[tuple[str, str], ...]
     number_protection: bool = True
 
+    cls_id, sep_id, pad_id, unk_id, num_id = range(len(RESERVED))
+
     def __post_init__(self):
-        self.token_to_id = {t: i for i, t in enumerate(self.tokens)}
-        self.ranks = {pair: rank for rank, pair in enumerate(self.merges)}
-        missing = [t for t in RESERVED if t not in self.reserved]
-        if missing:
-            raise ContractError(f"vocab missing reserved tokens: {missing}")
+        tokens = tuple(self.tokens)
+        if tokens[: len(RESERVED)] != RESERVED:
+            raise ContractError(f"vocab must start with the reserved tokens {list(RESERVED)}")
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "merges", tuple(tuple(m) for m in self.merges))
+        object.__setattr__(self, "token_to_id", MappingProxyType({t: i for i, t in enumerate(tokens)}))
+        object.__setattr__(self, "ranks", MappingProxyType({p: r for r, p in enumerate(self.merges)}))
 
     def __len__(self) -> int:
         return len(self.tokens)
 
-    @property
-    def cls_id(self) -> int:
-        return self.reserved["[CLS]"]
-
-    @property
-    def sep_id(self) -> int:
-        return self.reserved["[SEP]"]
-
-    @property
-    def pad_id(self) -> int:
-        return self.reserved["[PAD]"]
-
-    @property
-    def unk_id(self) -> int:
-        return self.reserved["[UNK]"]
-
-    @property
-    def num_id(self) -> int:
-        return self.reserved["[NUM]"]
-
     def save(self, path) -> None:
-        doc = {
-            "tokens": self.tokens,
-            "merges": [list(m) for m in self.merges],
-            "reserved": self.reserved,
-            "number_protection": self.number_protection,
-        }
+        doc = {"tokens": self.tokens, "merges": self.merges, "number_protection": self.number_protection}
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, ensure_ascii=False, indent=1)
             fh.write("\n")
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        """Read a saved vocab. ContractError if number_protection is not a
-        boolean, or if the merges are not in an order that applying them
-        by rank reproduces: every operand must be a base token (one ahead
-        of the merge products) or an earlier product, and no product may
-        repeat a base token or an earlier product."""
+        """Read a saved vocab; a ``reserved`` key, written by older
+        versions, is ignored. ContractError naming the path if
+        number_protection is not a boolean, if the first tokens are not
+        ``RESERVED`` in order, if a merge is not a list of two strings, or
+        if the merges are not in an order that applying them by rank
+        reproduces: every operand must be a base token (one ahead of the
+        merge products) or an earlier product, and no product may repeat a
+        base token or an earlier product."""
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         if not isinstance(doc.get("number_protection"), bool):
             raise ContractError(f"{path}: no boolean number_protection; rebuild the vocab")
-        vocab = cls(
-            tokens=list(doc["tokens"]),
-            merges=[tuple(m) for m in doc["merges"]],
-            reserved={k: int(v) for k, v in doc["reserved"].items()},
-            number_protection=doc["number_protection"],
-        )
+        for k, m in enumerate(doc["merges"]):
+            if not (isinstance(m, list) and len(m) == 2 and all(isinstance(s, str) for s in m)):
+                raise ContractError(f"{path}: merges[{k}] is not a list of two strings")
+        try:
+            vocab = cls(doc["tokens"], doc["merges"], doc["number_protection"])
+        except ContractError as exc:
+            raise ContractError(f"{path}: {exc}") from exc
         known = set(vocab.tokens[: max(len(vocab.tokens) - len(vocab.merges), 0)])
         for k, (a, b) in enumerate(vocab.merges):
             if a not in known or b not in known:
@@ -298,9 +284,8 @@ def build_vocab(corpus, target_size: int = 2048, number_protection: bool = True)
             new_seqs[key] = new_seqs.get(key, 0) + f
         seqs = new_seqs
 
-    tokens = list(RESERVED) + base_tokens + [a + b for a, b in merges]
-    reserved = {t: i for i, t in enumerate(RESERVED)}
-    return Vocab(tokens, merges, reserved, number_protection)
+    return Vocab(RESERVED + tuple(base_tokens) + tuple(a + b for a, b in merges), merges,
+                 number_protection)
 
 
 def tokenize(text: str, vocab: Vocab) -> TokenSequence:

@@ -1,16 +1,20 @@
 """Semantic cache: memoization contract, transparency, staleness,
 concurrency, and the throughput benchmark."""
 
+import hashlib
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tsrmcl.cache import SemanticCache, bench_cache, get_or_encode
-from tsrmcl.contrastive import DualEncoderModel, TrainConfig, classify_image, init_model
+from tsrmcl.contrastive import DualEncoderModel, TrainConfig, classify_image, init_model, train
+from tsrmcl.encoders import EncoderParams
 from tsrmcl.errors import ContractError, StaleCacheError
 from tsrmcl.tensor import Tensor
-from tsrmcl.tokenizer import build_vocab
+from tsrmcl.tokenizer import RESERVED, Vocab, build_vocab, tokenize
 
 
 TEXTS = [
@@ -22,12 +26,15 @@ TEXTS = [
 ]
 
 
+CONFIG = TrainConfig(seed=11, image_side=8, patch=4, width=16, vit_layers=1, text_layers=1)
+
+# the settings of test_tokenizer.py's property tests
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
 @pytest.fixture(scope="module")
 def model():
-    config = TrainConfig(seed=11, image_side=8, patch=4, width=16,
-                         vit_layers=1, text_layers=1)
-    vocab = build_vocab(TEXTS, target_size=512)
-    return init_model(config, vocab)
+    return init_model(CONFIG, build_vocab(TEXTS, target_size=512))
 
 
 @pytest.fixture
@@ -92,6 +99,25 @@ class TestStaleness:
         bumped[name] = Tensor(flat[name].data + 1.0, requires_grad=True)
         assert model.with_params(bumped).text_fingerprint() == fp
 
+    def test_fingerprint_covers_text_config(self, model):
+        """Same tensors, twice the heads: other embeddings, so another fingerprint."""
+        config = replace(model.text.config, heads=4)
+        other = replace(model, text=EncoderParams(config, model.text.tensors))
+        assert not np.array_equal(other.embed_text(TEXTS[0]), model.embed_text(TEXTS[0]))
+        assert other.text_fingerprint() != model.text_fingerprint()
+
+    def test_fingerprint_covers_merges(self, tmp_path):
+        """Same tokens, and merge lists that both load: ``abc`` tokenizes
+        to other ids, so the fingerprints differ."""
+        tokens = RESERVED + ("a", "b", "c", "ab", "bc", "abc")
+        vocabs = []
+        for k, last in enumerate([("ab", "c"), ("a", "bc")]):
+            Vocab(tokens, [("a", "b"), ("b", "c"), last]).save(tmp_path / f"{k}.json")
+            vocabs.append(Vocab.load(tmp_path / f"{k}.json"))
+        assert tokenize("abc", vocabs[0]).ids != tokenize("abc", vocabs[1]).ids
+        a, b = (init_model(CONFIG, v) for v in vocabs)
+        assert a.text_fingerprint() != b.text_fingerprint()
+
     def test_reset_adopts_new_fingerprint(self, model, cache):
         get_or_encode(TEXTS[0], model, cache)
         cache.reset(cache.fingerprint ^ 1)
@@ -154,6 +180,21 @@ class TestConcurrency:
             np.testing.assert_array_equal(r, stored)
         assert len(cache) == 1
 
+    @PROPERTY
+    @given(picks=st.lists(st.integers(0, 2 * len(TEXTS) - 1), min_size=1, max_size=40),
+           threads=st.integers(1, 4), max_entries=st.sampled_from([None, 1, 2, 4]))
+    def test_concurrent_lookups_bit_identical_and_conserved(self, model, picks, threads,
+                                                            max_entries):
+        pool_texts = TEXTS + [t.upper() for t in TEXTS]  # same normalized keys
+        cache = SemanticCache(model.text_fingerprint(), max_entries=max_entries)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(lambda k: get_or_encode(pool_texts[k], model, cache), picks))
+        for k, row in zip(picks, results):
+            np.testing.assert_array_equal(row, model.embed_text(pool_texts[k]))
+        assert cache.stats.hits + cache.stats.misses == len(picks)
+        assert max_entries is None or len(cache) <= max_entries
+        assert cache.stats.bytes_resident == len(cache) * results[0].nbytes
+
 
 class TestClassifierTransparency:
     def test_cache_on_off_identical_probs(self, model, rng):
@@ -177,8 +218,21 @@ class TestBatchInvariance:
 
 
 class TestClassifyFingerprintOnce:
-    """``classify_image`` checks the fingerprint once per call, not once
-    per class text; a warm request must not rehash the text encoder K times."""
+    """The fingerprint digest runs once per model, however many lookups
+    check it: a warm request must never rehash the text encoder, and
+    training, which builds a new model every step, never digests."""
+
+    @staticmethod
+    def count_digests(monkeypatch):
+        digests = []
+        blake2b = hashlib.blake2b
+
+        def counted(*args, **kwargs):
+            digests.append(kwargs)
+            return blake2b(*args, **kwargs)
+
+        monkeypatch.setattr(hashlib, "blake2b", counted)
+        return digests
 
     @staticmethod
     def count_calls(monkeypatch, name):
@@ -192,15 +246,39 @@ class TestClassifyFingerprintOnce:
         monkeypatch.setattr(DualEncoderModel, name, counted)
         return calls
 
-    def test_one_fingerprint_per_call(self, model, cache, rng, monkeypatch):
-        calls = self.count_calls(monkeypatch, "text_fingerprint")
+    def test_one_fingerprint_per_call(self, model, rng, monkeypatch):
+        digests = self.count_digests(monkeypatch)
+        fresh = model.with_params(model.flat_params())
+        cache = SemanticCache(fresh.text_fingerprint())
+        assert len(digests) == 1
         img = rng.random((8, 8, 3))
-        classify_image(model, img, TEXTS, cache=cache)  # cold: all misses
-        assert len(calls) == 1
-        classify_image(model, img, TEXTS, cache=cache)  # warm: all hits
-        assert len(calls) == 2
+        classify_image(fresh, img, TEXTS, cache=cache)  # cold: all misses
+        classify_image(fresh, img, TEXTS, cache=cache)  # warm: all hits
+        assert len(digests) == 1
         assert cache.stats.misses == len(TEXTS)
         assert cache.stats.hits == len(TEXTS)
+
+    def test_one_digest_per_model(self, model, rng, monkeypatch):
+        digests = self.count_digests(monkeypatch)
+        fresh = model.with_params(model.flat_params())
+        cache = SemanticCache(fresh.text_fingerprint())
+        images = [rng.random((8, 8, 3)) for _ in range(3)]
+        for img in images:
+            classify_image(fresh, img, TEXTS, cache=cache)
+        for text in TEXTS * 2:
+            get_or_encode(text, fresh, cache)
+        for _ in range(2):
+            bench_cache(fresh, TEXTS, images)
+        assert len(digests) == 1
+        other = model.with_params(model.flat_params())
+        assert other.text_fingerprint() == fresh.text_fingerprint()
+        assert len(digests) == 2
+
+    def test_train_never_digests(self, rng, monkeypatch):
+        digests = self.count_digests(monkeypatch)
+        pairs = [(rng.random((8, 8, 3)), TEXTS[k % len(TEXTS)]) for k in range(8)]
+        train(pairs, replace(CONFIG, batch_size=4, epochs=2))
+        assert digests == []
 
     def test_stale_cache_raises_and_encodes_nothing(self, model, rng, monkeypatch):
         texts_encoded = self.count_calls(monkeypatch, "embed_text")

@@ -4,6 +4,7 @@ softmax classification, the training loop, and the checkpoint."""
 import io
 import json
 import math
+import operator
 import struct
 import zipfile
 from dataclasses import replace
@@ -288,6 +289,43 @@ class TestTrain:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,mean_loss,tau"
         assert len(lines) == 3
+
+
+class TestFrozenModel:
+    """The model is a value: every route that would edit it in place raises."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return init_model(tiny_config(), build_vocab(["a red sign", "a blue sign"]))
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: setattr(m, "text", m.vit),
+        lambda m: operator.setitem(m.text.tensors, "tok.w", m.text.tensors["tok.w"]),
+        lambda m: operator.setitem(m.proj_t, "w", m.proj_t["b"]),
+        lambda m: setattr(m.vocab, "tokens", m.vocab.tokens[::-1]),
+        lambda m: operator.setitem(m.vocab.tokens, 5, "x"),
+        lambda m: m.vocab.merges.append(("a", "b")),
+        lambda m: operator.setitem(m.vocab.token_to_id, "x", 5),
+        lambda m: setattr(m.vocab, "number_protection", False),
+        lambda m: setattr(m.temperature, "gamma", Tensor(0.0)),
+    ], ids=["model.text", "text.tensors[k]", "proj_t[w]", "vocab.tokens", "vocab.tokens[i]",
+            "vocab.merges", "vocab.token_to_id", "vocab.number_protection", "temperature.gamma"])
+    def test_mutation_raises(self, model, edit):
+        before = model.with_params(model.flat_params()).text_fingerprint()
+        with pytest.raises((AttributeError, TypeError)):
+            edit(model)
+        assert model.with_params(model.flat_params()).text_fingerprint() == before
+
+    def test_with_params_returns_a_working_new_model(self, model, rng):
+        flat = model.flat_params()
+        flat["pt.b"] = Tensor(flat["pt.b"].data + 0.5, requires_grad=True)
+        moved = model.with_params(flat)
+        assert moved.vocab is model.vocab and moved.proj_t["b"] is flat["pt.b"]
+        assert moved.text_fingerprint() != model.text_fingerprint()
+        assert not np.array_equal(moved.embed_text("a red sign"), model.embed_text("a red sign"))
+        probs = classify_image(moved, rng.random((8, 8, 3)), ["a red sign", "a blue sign"],
+                               cache=SemanticCache(moved.text_fingerprint()))
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def saved_checkpoint(tmp_path):

@@ -154,14 +154,14 @@ class TestProtectNumbers:
 class TestBuildVocab:
     def test_single_merge_hand_trace(self):
         v = build_vocab(["aa aa"], target_size=100)
-        assert v.merges == [("a", "a")]
+        assert v.merges == (("a", "a"),)
         assert "aa" in v.token_to_id
 
     def test_no_budget_zero_merges(self):
         base = build_vocab(["aa aa"], target_size=100)
         n_base = len(base) - len(base.merges)
         v = build_vocab(["aa aa"], target_size=n_base)
-        assert v.merges == []
+        assert v.merges == ()
 
     def test_duplicated_corpus_same_merges(self):
         corpus = fuzz_descriptions(30, seed=3)
@@ -331,11 +331,10 @@ class TestVocabFile:
         p = tmp_path / "vocab.json"
         v.save(p)
         doc = json.loads(p.read_text())
-        assert set(doc) == {"tokens", "merges", "reserved", "number_protection"}
+        assert set(doc) == {"tokens", "merges", "number_protection"}
         loaded = Vocab.load(p)
         assert loaded.tokens == v.tokens
         assert loaded.merges == v.merges
-        assert loaded.reserved == v.reserved
         assert loaded.number_protection is True
 
     def test_policy_round_trips_and_is_required(self, tmp_path):
@@ -367,7 +366,36 @@ class TestVocabFile:
 
     def test_missing_reserved_rejected(self):
         with pytest.raises(ContractError):
-            Vocab(tokens=["[CLS]"], merges=[], reserved={"[CLS]": 0})
+            Vocab(tokens=["[CLS]"], merges=[])
+
+    @pytest.mark.parametrize("merges", [[["a", "b", "c"]], [["a"]], [None], ["ab"], [["a", 1]]],
+                             ids=["three-strings", "one-string", "null", "bare-string", "not-a-string"])
+    def test_malformed_merge_entry_rejected(self, tmp_path, merges):
+        p = tmp_path / "vocab.json"
+        p.write_text(json.dumps({"tokens": list(RESERVED) + ["a", "b", "ab"], "merges": merges,
+                                 "number_protection": True}))
+        with pytest.raises(ContractError, match=rf"{re.escape(str(p))}: merges\[0\]"):
+            Vocab.load(p)
+
+    @pytest.mark.parametrize("tokens", [["[SEP]", "[CLS]", "[PAD]", "[UNK]", "[NUM]", "a"],
+                                        ["[CLS]", "[SEP]", "[PAD]", "[UNK]"]],
+                             ids=["out-of-order", "one-missing"])
+    def test_reserved_tokens_out_of_place_rejected(self, tmp_path, tokens):
+        p = tmp_path / "vocab.json"
+        p.write_text(json.dumps({"tokens": tokens, "merges": [], "number_protection": True}))
+        with pytest.raises(ContractError, match=re.escape(str(p))):
+            Vocab.load(p)
+
+    def test_reserved_ids_follow_token_order_not_a_stored_map(self, tmp_path):
+        """An older file's ``reserved`` key is ignored: ids come from order."""
+        p = tmp_path / "vocab.json"
+        build_vocab(["a red sign"], target_size=64).save(p)
+        doc = json.loads(p.read_text())
+        doc["reserved"] = {**{t: i for i, t in enumerate(RESERVED)}, "[CLS]": 1000000}
+        p.write_text(json.dumps(doc))
+        v = Vocab.load(p)
+        assert [v.cls_id, v.sep_id, v.pad_id, v.unk_id, v.num_id] == [0, 1, 2, 3, 4]
+        assert tokenize("a red sign", v).ids[0] == 0
 
 
 class TestKnowledgeBaseFile:
