@@ -2,10 +2,10 @@
 
 All entries belong to the cache's one text-encoder fingerprint (a hash
 over the text config, every text-encoder tensor, the text projection and
-the vocab); only ``reset`` changes it, and it drops them all. A model is
-a value, so its fingerprint is computed once per model and kept; it is
-checked against the cache's on every lookup, and a hit then costs one
-``normalize`` plus one dict lookup.
+the vocab), fixed when the cache is made; a new model needs a new cache.
+A model is a value, so its fingerprint is computed once per model and
+kept; it is checked against the cache's on every lookup, and a hit then
+costs one ``normalize`` plus one dict lookup.
 
 The cache is semantically transparent: any sequence of operations
 produces bit-identical outputs with it on or off. Readers run
@@ -45,8 +45,8 @@ class CacheStats:
 
 
 class SemanticCache:
-    """Embeddings keyed by ``normalize(text)``, all of one fingerprint that
-    only ``reset`` changes. Unbounded unless ``max_entries`` sets an LRU bound."""
+    """Embeddings keyed by ``normalize(text)``, all of one fixed fingerprint.
+    Unbounded unless ``max_entries`` sets an LRU bound."""
 
     def __init__(self, fingerprint: int, max_entries: int | None = None):
         self._fingerprint = int(fingerprint)
@@ -57,7 +57,7 @@ class SemanticCache:
 
     @property
     def fingerprint(self) -> int:
-        """The fingerprint every entry belongs to; only ``reset`` changes it."""
+        """The fingerprint every entry belongs to, fixed for the cache's life."""
         return self._fingerprint
 
     def __len__(self) -> int:
@@ -67,13 +67,6 @@ class SemanticCache:
         with self._lock:
             self._entries.clear()
             self.stats.bytes_resident = 0
-
-    def reset(self, fingerprint: int) -> None:
-        """Adopt a new parameter fingerprint, dropping all entries."""
-        with self._lock:
-            self._entries.clear()
-            self.stats = CacheStats()
-            self._fingerprint = int(fingerprint)
 
     def _get(self, key: str) -> np.ndarray | None:
         with self._lock:
@@ -86,10 +79,8 @@ class SemanticCache:
                 self._entries.move_to_end(key)
             return hit
 
-    def _put(self, key: str, value: np.ndarray, fingerprint: int) -> np.ndarray:
+    def _put(self, key: str, value: np.ndarray) -> np.ndarray:
         with self._lock:
-            if fingerprint != self._fingerprint:  # reset while ``value`` was encoded
-                return value
             existing = self._entries.get(key)
             if existing is not None:
                 return existing
@@ -107,8 +98,8 @@ def get_or_encode(text: str, model, cache: SemanticCache) -> np.ndarray:
 
     The model's text fingerprint, computed once per model, is checked
     against the cache's on every lookup; a mismatch means the cache is
-    stale (``reset`` adopts the new fingerprint) and raises
-    ``StaleCacheError`` before anything is encoded. A hit then costs one
+    stale (``SemanticCache(model.text_fingerprint())`` replaces it) and
+    raises ``StaleCacheError`` before anything is encoded. A hit then costs one
     ``normalize`` plus one dict lookup.
     """
     fp = model.text_fingerprint()
@@ -122,7 +113,7 @@ def get_or_encode(text: str, model, cache: SemanticCache) -> np.ndarray:
         return hit
     value = model.embed_text(text)  # outside the lock on purpose
     value.flags.writeable = False
-    return cache._put(key, value, fp)
+    return cache._put(key, value)
 
 
 def bench_cache(model, texts, images, repeats: int = 1) -> dict:

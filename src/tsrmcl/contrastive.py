@@ -248,27 +248,23 @@ class DualEncoderModel:
 
         Raises ContractError naming the file and, where one is at fault,
         the config key or ``params.npz`` entry, when:
-        - a manifest config has a key its class lacks, or lacks a required one;
-        - ``vocab.json`` fails ``Vocab.load`` or its size is not
-          ``text_config.vocab_size``;
+        - the manifest lacks ``vit_config`` or ``text_config``, or a config
+          has a key its class lacks (as an older manifest's ``vocab_size``
+          and ``pad_id``, which are the vocab's), or lacks a required one;
+        - ``vocab.json`` fails ``Vocab.load``;
         - ``params.npz`` is absent, not a zip archive, or truncated;
         - an entry is missing, or is not a parameter of the model the
-          configs build;
+          configs and the vocab build;
         - an entry's header declares a dtype other than float64 or another
           shape (checked before its payload is read);
         - an entry fails its zip CRC-32, is cut short, or holds a NaN or inf.
-        An absent or unparsable ``manifest.json`` raises OSError or
-        ValueError, and one without ``vit_config``/``text_config`` KeyError.
+        An absent or unparsable ``manifest.json`` raises OSError or ValueError.
         """
         with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
             manifest = json.load(fh)
         vit_cfg = _config_from(manifest, "vit_config", ViTConfig, directory)
         txt_cfg = _config_from(manifest, "text_config", TextEncoderConfig, directory)
-        vocab_path = os.path.join(directory, "vocab.json")
-        vocab = Vocab.load(vocab_path)
-        if len(vocab) != txt_cfg.vocab_size:
-            raise ContractError(f"{vocab_path} holds {len(vocab)} tokens, "
-                                f"text_config.vocab_size is {txt_cfg.vocab_size}")
+        vocab = Vocab.load(os.path.join(directory, "vocab.json"))
         shell = _init_from_configs(vit_cfg, txt_cfg, vocab, seed=0, gamma_init=0.0)  # shapes only
         shapes = {name: t.shape for name, t in shell.flat_params().items()}
         return shell.with_params(_read_params(os.path.join(directory, "params.npz"), shapes))
@@ -277,6 +273,8 @@ class DualEncoderModel:
 def _config_from(manifest: dict, key: str, config_cls, directory):
     try:
         return config_cls(**manifest[key])
+    except KeyError as exc:
+        raise ContractError(f"{directory}: manifest has no {key}") from exc
     except TypeError as exc:  # unknown or missing keyword, or not an object
         raise ContractError(f"{directory}: manifest {key}: {exc}") from exc
 
@@ -308,8 +306,8 @@ def _read_params(path, shapes: dict) -> dict[str, Tensor]:
                                    else npy_format.read_array_header_2_0)
                     declared, _, dtype = read_header(fh)
                 if dtype != np.float64 or declared != shape:
-                    raise ContractError(f"{where} declares {dtype} {list(declared)}, "
-                                        f"the manifest's configs need float64 {list(shape)}")
+                    raise ContractError(f"{where} declares {dtype} {list(declared)}, the "
+                                        f"manifest's configs and vocab.json need float64 {list(shape)}")
                 with archive.open(f"{name}.npy") as fh:
                     data = npy_format.read_array(fh, allow_pickle=False)
             except ContractError:
@@ -373,7 +371,7 @@ def _init_from_configs(vit_cfg: ViTConfig, txt_cfg: TextEncoderConfig, vocab: Vo
                        seed: int, gamma_init: float) -> DualEncoderModel:
     return DualEncoderModel(
         vit=init_vit_params(vit_cfg, seed),
-        text=init_text_params(txt_cfg, seed + 1),
+        text=init_text_params(txt_cfg, len(vocab), seed + 1),
         proj_v=init_projection_params(vit_cfg.width, vit_cfg.width, seed + 2),
         proj_t=init_projection_params(txt_cfg.width, txt_cfg.width, seed + 3),
         temperature=Temperature.init(gamma_init),
@@ -392,12 +390,10 @@ def init_model(config: TrainConfig, vocab: Vocab) -> DualEncoderModel:
         mlp_factor=config.mlp_factor,
     )
     txt_cfg = TextEncoderConfig(
-        vocab_size=len(vocab),
         max_len=config.max_len,
         width=config.width,
         layers=config.text_layers,
         heads=config.heads,
-        pad_id=vocab.pad_id,
     )
     return _init_from_configs(vit_cfg, txt_cfg, vocab, config.seed, config.gamma_init)
 

@@ -5,7 +5,8 @@ pooled at the [CLS] position and projected into the shared space.
 The image blocks run attention then MLP, each as
 LayerNorm(sublayer(Z) + Z); the text blocks are attention-only
 residual+norm. Positional encodings are a fixed sinusoidal table, so
-(config, seed, input) fully determines every output.
+(config, seed, input) fully determines every output. The vocab, not the
+text config, owns the token table's size and the pad id (``Vocab.pad_id``).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 from .tensor import Tensor, concat, l2_normalize, layer_norm, linear, matmul, softmax, uniform_init
+from .tokenizer import Vocab
 
 __all__ = [
     "ViTConfig",
@@ -59,18 +61,16 @@ class ViTConfig:
 
 @dataclass(frozen=True)
 class TextEncoderConfig:
-    vocab_size: int
+    """Text encoder shape; the vocab owns its size and pad id (``Vocab``)."""
+
     max_len: int = 64
     width: int = 32
     layers: int = 2
     heads: int = 2
-    pad_id: int = 2
 
     def __post_init__(self):
         if self.width % self.heads:
             raise ContractError(f"width {self.width} not divisible by heads {self.heads}")
-        if self.vocab_size < 5:
-            raise ContractError("vocab must at least hold the reserved tokens")
 
 
 @dataclass(frozen=True)
@@ -128,11 +128,11 @@ def init_vit_params(config: ViTConfig, seed: int) -> EncoderParams:
     return EncoderParams(config=config, tensors=t)
 
 
-def init_text_params(config: TextEncoderConfig, seed: int) -> EncoderParams:
+def init_text_params(config: TextEncoderConfig, vocab_size: int, seed: int) -> EncoderParams:
     rng = np.random.default_rng(seed)
     d = config.width
     t: dict[str, Tensor] = {}
-    t["tok.w"] = uniform_init((config.vocab_size, d), d, rng)
+    t["tok.w"] = uniform_init((vocab_size, d), d, rng)
     for i in range(config.layers):
         for k, v in _attention_layer_params(d, rng).items():
             t[f"blk{i}.{k}"] = v
@@ -230,10 +230,10 @@ def _ids_and_mask(sequences, cfg: TextEncoderConfig) -> tuple[np.ndarray, np.nda
             raise ContractError(f"sequence length {len(ids)} exceeds max {cfg.max_len}")
         rows.append(ids)
     width = max(len(r) for r in rows)
-    ids = np.full((len(rows), width), cfg.pad_id, dtype=np.int64)
+    ids = np.full((len(rows), width), Vocab.pad_id, dtype=np.int64)
     for i, r in enumerate(rows):
         ids[i, : len(r)] = r
-    return ids, ids == cfg.pad_id
+    return ids, ids == Vocab.pad_id
 
 
 def encode_texts(sequences, params: EncoderParams) -> Tensor:

@@ -128,11 +128,15 @@ class KnowledgeBase:
 
 @dataclass(frozen=True)
 class Vocab:
-    """A value: BPE tokens, reserved ones first in ``RESERVED`` order (so
-    their ids are the class constants below), the merges, and the
-    number-protection policy ``build_vocab`` was given, which ``tokenize``
-    applies. Tokens and merges are tuples and the lookups derived from
-    them are read-only."""
+    """A value, and the one owner of the token facts: the BPE tokens (their
+    count sizes the text encoder's token table; the reserved ids are the
+    class constants below, and the encoder pads with ``pad_id``), the merges
+    and the number-protection policy ``tokenize`` applies, as tuples with
+    read-only derived lookups. Valid by construction, else ContractError
+    naming ``tokens[i]`` or ``merges[k]``: the tokens are distinct strings,
+    ``RESERVED`` first in order; each merge is a pair of strings; the last
+    ``len(merges)`` tokens are the products ``a + b`` in merge order; each
+    operand is a base token or the product of an earlier merge."""
 
     tokens: tuple[str, ...]
     merges: tuple[tuple[str, str], ...]
@@ -141,11 +145,29 @@ class Vocab:
     cls_id, sep_id, pad_id, unk_id, num_id = range(len(RESERVED))
 
     def __post_init__(self):
-        tokens = tuple(self.tokens)
-        if tokens[: len(RESERVED)] != RESERVED:
-            raise ContractError(f"vocab must start with the reserved tokens {list(RESERVED)}")
+        tokens, merges = tuple(self.tokens), tuple(self.merges)
+        for i, want in enumerate(RESERVED):
+            if tokens[i:i + 1] != (want,):
+                raise ContractError(f"tokens[{i}] is not the reserved token {want!r}")
+        base = max(len(tokens) - len(merges), len(RESERVED))  # where the merge products start
+        known: set[str] = set()
+        for i, tok in enumerate(tokens[:base]):
+            if not isinstance(tok, str) or tok in known:
+                raise ContractError(f"tokens[{i}] {tok!r} is not a distinct string")
+            known.add(tok)
+        for k, m in enumerate(merges):
+            if not (isinstance(m, (list, tuple)) and len(m) == 2 and all(isinstance(s, str) for s in m)):
+                raise ContractError(f"merges[{k}] is not a list of two strings")
+            a, b = m
+            if tokens[base + k:base + k + 1] != (a + b,):
+                raise ContractError(f"merges[{k}] product {a + b!r} is not tokens[{base + k}]")
+            if a not in known or b not in known:
+                raise ContractError(f"merges[{k}] operand is neither a base token nor an earlier product")
+            if a + b in known:
+                raise ContractError(f"merges[{k}] product {a + b!r} repeats an earlier token")
+            known.add(a + b)
         object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "merges", tuple(tuple(m) for m in self.merges))
+        object.__setattr__(self, "merges", tuple(tuple(m) for m in merges))
         object.__setattr__(self, "token_to_id", MappingProxyType({t: i for i, t in enumerate(tokens)}))
         object.__setattr__(self, "ranks", MappingProxyType({p: r for r, p in enumerate(self.merges)}))
 
@@ -160,35 +182,25 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        """Read a saved vocab; a ``reserved`` key, written by older
-        versions, is ignored. ContractError naming the path if
-        number_protection is not a boolean, if the first tokens are not
-        ``RESERVED`` in order, if a merge is not a list of two strings, or
-        if the merges are not in an order that applying them by rank
-        reproduces: every operand must be a base token (one ahead of the
-        merge products) or an earlier product, and no product may repeat a
-        base token or an earlier product."""
+        """Decode a saved vocab; a ``reserved`` key, written by older
+        versions, is ignored. ContractError naming the path if the file is
+        not UTF-8 JSON, is not an object, has no ``tokens`` or ``merges``
+        list, or has no boolean ``number_protection``; a ContractError from
+        building the ``Vocab`` (its invariants) gets the path as a prefix."""
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc.get("number_protection"), bool):
-            raise ContractError(f"{path}: no boolean number_protection; rebuild the vocab")
-        for k, m in enumerate(doc["merges"]):
-            if not (isinstance(m, list) and len(m) == 2 and all(isinstance(s, str) for s in m)):
-                raise ContractError(f"{path}: merges[{k}] is not a list of two strings")
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+                raise ContractError(f"{path}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ContractError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+        for key, kind in (("tokens", list), ("merges", list), ("number_protection", bool)):
+            if not isinstance(doc.get(key), kind):
+                raise ContractError(f"{path}: no {key} {kind.__name__}; rebuild the vocab")
         try:
-            vocab = cls(doc["tokens"], doc["merges"], doc["number_protection"])
+            return cls(doc["tokens"], doc["merges"], doc["number_protection"])
         except ContractError as exc:
             raise ContractError(f"{path}: {exc}") from exc
-        known = set(vocab.tokens[: max(len(vocab.tokens) - len(vocab.merges), 0)])
-        for k, (a, b) in enumerate(vocab.merges):
-            if a not in known or b not in known:
-                raise ContractError(
-                    f"{path}: merges[{k}] operand is neither a base token nor an earlier product"
-                )
-            if a + b in known:
-                raise ContractError(f"{path}: merges[{k}] product {a + b!r} repeats an earlier token")
-            known.add(a + b)
-        return vocab
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,15 @@ it only ever calls forward evaluations, never the tape.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tsrmcl.tensor import Tensor
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-4
+
+# the one settings object of the property tests: reproducible, no example database
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 def numeric_gradient(fn, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:

@@ -9,7 +9,7 @@ from tsrmcl.boxes import BBox, _shrink_t, inner_iou_t, inner_wiou_t, iou, iou_t,
 from tsrmcl.errors import ContractError
 from tsrmcl.tensor import Tensor
 
-from conftest import assert_gradients_close, numeric_gradient
+from conftest import PROPERTY, assert_gradients_close, numeric_gradient
 
 
 def inner_iou(a, b, ratio=0.75) -> float:
@@ -186,7 +186,7 @@ class TestTensorPathAgreement:
             assert_gradients_close(pred.grad, numeric)
 
 
-PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+BOX_PROPERTY = settings(PROPERTY, max_examples=200)
 
 
 @st.composite
@@ -199,18 +199,18 @@ def boxes(draw):
 
 
 class TestIoUProperties:
-    @PROPERTY
+    @BOX_PROPERTY
     @given(a=boxes(), b=boxes())
     def test_symmetric_and_bounded(self, a, b):
         assert iou(a, b) == iou(b, a)
         assert 0.0 <= iou(a, b) <= 1.0
 
-    @PROPERTY
+    @BOX_PROPERTY
     @given(a=boxes())
     def test_self_iou_is_one(self, a):
         assert iou(a, a) == 1.0
 
-    @PROPERTY
+    @BOX_PROPERTY
     @given(a=boxes(), b=boxes())
     def test_tensor_path_agrees(self, a, b):
         assert abs(float(iou_t(a, b).data) - iou(a, b)) <= 1e-12

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from tsrmcl.cache import SemanticCache, bench_cache, get_or_encode
 from tsrmcl.contrastive import DualEncoderModel, TrainConfig, classify_image, init_model, train
@@ -15,6 +15,8 @@ from tsrmcl.encoders import EncoderParams
 from tsrmcl.errors import ContractError, StaleCacheError
 from tsrmcl.tensor import Tensor
 from tsrmcl.tokenizer import RESERVED, Vocab, build_vocab, tokenize
+
+from conftest import PROPERTY
 
 
 TEXTS = [
@@ -27,9 +29,6 @@ TEXTS = [
 
 
 CONFIG = TrainConfig(seed=11, image_side=8, patch=4, width=16, vit_layers=1, text_layers=1)
-
-# the settings of test_tokenizer.py's property tests
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 @pytest.fixture(scope="module")
@@ -118,31 +117,9 @@ class TestStaleness:
         a, b = (init_model(CONFIG, v) for v in vocabs)
         assert a.text_fingerprint() != b.text_fingerprint()
 
-    def test_reset_adopts_new_fingerprint(self, model, cache):
-        get_or_encode(TEXTS[0], model, cache)
-        cache.reset(cache.fingerprint ^ 1)
-        assert len(cache) == 0
-        assert cache.stats.lookups == 0
-
     def test_fingerprint_is_read_only(self, cache):
         with pytest.raises(AttributeError):
             cache.fingerprint = cache.fingerprint ^ 1
-
-    def test_miss_encoded_before_a_reset_is_not_stored(self, model, cache):
-        class ResetWhileEncoding:
-            """The model, with a ``reset`` landing between miss and publish."""
-
-            def text_fingerprint(self):
-                return model.text_fingerprint()
-
-            def embed_text(self, text):
-                cache.reset(cache.fingerprint ^ 1)
-                return model.embed_text(text)
-
-        got = get_or_encode(TEXTS[0], ResetWhileEncoding(), cache)
-        np.testing.assert_array_equal(got, model.embed_text(TEXTS[0]))
-        assert len(cache) == 0
-        assert cache.stats.bytes_resident == 0
 
 
 class TestEviction:

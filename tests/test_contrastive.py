@@ -5,6 +5,7 @@ import io
 import json
 import math
 import operator
+import re
 import struct
 import zipfile
 from dataclasses import replace
@@ -480,14 +481,30 @@ class TestCheckpoint:
         (ckpt / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ContractError, match=f"manifest {key}: .*'bogus'"):
             DualEncoderModel.load(ckpt)
+        del manifest[key]
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ContractError, match=f"{re.escape(str(ckpt))}: manifest has no {key}"):
+            DualEncoderModel.load(ckpt)
+
+    @pytest.mark.parametrize("key, value", [("vocab_size", 20), ("pad_id", 22)])
+    def test_token_fact_in_manifest_rejected_naming_it(self, tmp_path, key, value):
+        """The vocab owns its size and pad id: a ``text_config`` that holds
+        either, as an older manifest does, is refused rather than obeyed."""
+        ckpt = saved_checkpoint(tmp_path)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["text_config"][key] = value
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ContractError, match=f"manifest text_config: .*'{key}'"):
+            DualEncoderModel.load(ckpt)
 
     def test_vocab_size_mismatch_rejected(self, tmp_path):
         ckpt = saved_checkpoint(tmp_path)
         bigger = build_vocab(["a red sign", "a blue sign", "speed limit 40 km/h keep right"])
-        assert len(bigger) > DualEncoderModel.load(ckpt).text.config.vocab_size
+        assert len(bigger) > len(DualEncoderModel.load(ckpt).vocab) == 20
         bigger.save(ckpt / "vocab.json")
-        with pytest.raises(ContractError, match=rf"vocab\.json holds {len(bigger)} tokens, "
-                                                r"text_config\.vocab_size is 20"):
+        with pytest.raises(ContractError, match=r"params\.npz: entry 'txt\.tok\.w' declares float64 "
+                                                rf"\[20, 16\], the manifest's configs and vocab\.json "
+                                                rf"need float64 \[{len(bigger)}, 16\]"):
             DualEncoderModel.load(ckpt)
 
     def test_round_trip_keeps_plain_policy(self, tmp_path, rng):
@@ -508,6 +525,6 @@ class TestCheckpoint:
         manifest["vit_config"]["mlp_factor"] = 2
         (ckpt / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ContractError, match=r"params\.npz: entry 'vit\.blk0\.mlp\.w1' declares "
-                                                r"float64 \[16, 64\], the manifest's configs need "
-                                                r"float64 \[16, 32\]"):
+                                                r"float64 \[16, 64\], the manifest's configs and "
+                                                r"vocab\.json need float64 \[16, 32\]"):
             DualEncoderModel.load(ckpt)

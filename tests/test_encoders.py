@@ -24,7 +24,8 @@ from tsrmcl.tokenizer import TokenSequence
 from conftest import assert_gradients_close, numeric_gradient
 
 TOY_VIT = ViTConfig(image_side=8, channels=1, patch=4, width=8, layers=2, heads=2)
-TOY_TXT = TextEncoderConfig(vocab_size=12, max_len=16, width=8, layers=2, heads=2, pad_id=2)
+TOY_TXT = TextEncoderConfig(max_len=16, width=8, layers=2, heads=2)
+TOY_VOCAB_SIZE = 12
 
 
 class TestConfigs:
@@ -34,7 +35,7 @@ class TestConfigs:
         with pytest.raises(ContractError):
             ViTConfig(width=30, heads=4)
         with pytest.raises(ContractError):
-            TextEncoderConfig(vocab_size=100, width=30, heads=4)
+            TextEncoderConfig(width=30, heads=4)
 
     def test_patch_count(self):
         assert ViTConfig(image_side=32, patch=8).n_patches == 16
@@ -148,7 +149,7 @@ class TestEncodeText:
         return TokenSequence(ids=tuple(ids))
 
     def test_minimal_sequence_finite_deterministic(self):
-        params = init_text_params(TOY_TXT, seed=7)
+        params = init_text_params(TOY_TXT, TOY_VOCAB_SIZE, seed=7)
         seq = self._seq([0, 1])  # [CLS][SEP]
         a = encode_texts([seq], params).data
         b = encode_texts([seq], params).data
@@ -157,7 +158,7 @@ class TestEncodeText:
         assert a.shape == (1, TOY_TXT.width)
 
     def test_padding_invariance(self):
-        params = init_text_params(TOY_TXT, seed=8)
+        params = init_text_params(TOY_TXT, TOY_VOCAB_SIZE, seed=8)
         base = self._seq([0, 5, 6, 7, 1])
         padded = self._seq([0, 5, 6, 7, 1, 2, 2, 2])
         a = encode_texts([base], params).data
@@ -165,7 +166,7 @@ class TestEncodeText:
         np.testing.assert_array_equal(a, b)
 
     def test_batch_matches_single_when_same_length(self):
-        params = init_text_params(TOY_TXT, seed=9)
+        params = init_text_params(TOY_TXT, TOY_VOCAB_SIZE, seed=9)
         seqs = [self._seq([0, 5, 6, 1]), self._seq([0, 7, 8, 1])]
         batch = encode_texts(seqs, params).data
         for i, s in enumerate(seqs):
@@ -174,10 +175,8 @@ class TestEncodeText:
     def test_single_token_attention_is_value_projection(self):
         """With one (unmasked) token, attention weights collapse to 1 and
         the block output is layer_norm(V_proj + residual) of that token."""
-        params = init_text_params(
-            TextEncoderConfig(vocab_size=12, max_len=8, width=8, layers=1, heads=1, pad_id=2),
-            seed=10,
-        )
+        params = init_text_params(TextEncoderConfig(max_len=8, width=8, layers=1, heads=1),
+                                  TOY_VOCAB_SIZE, seed=10)
         t = params.tensors
         seq = self._seq([5])
         out = encode_texts([seq], params).data[0]
@@ -189,7 +188,7 @@ class TestEncodeText:
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_overlong_rejected(self):
-        params = init_text_params(TOY_TXT, seed=7)
+        params = init_text_params(TOY_TXT, TOY_VOCAB_SIZE, seed=7)
         with pytest.raises(ContractError):
             encode_texts([self._seq([0] * 17)], params)
 
@@ -238,7 +237,7 @@ def test_every_parameter_receives_gradient(rng):
     from tsrmcl.contrastive import Temperature, contrastive_loss, similarity
 
     vit = init_vit_params(TOY_VIT, seed=20)
-    txt = init_text_params(TOY_TXT, seed=21)
+    txt = init_text_params(TOY_TXT, TOY_VOCAB_SIZE, seed=21)
     pv = init_projection_params(8, 8, seed=22)
     pt = init_projection_params(8, 8, seed=23)
     temp = Temperature.init()

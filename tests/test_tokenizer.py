@@ -7,8 +7,9 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
+from tsrmcl.cli import run
 from tsrmcl.errors import ContractError
 from tsrmcl.tokenizer import (
     RESERVED,
@@ -21,6 +22,8 @@ from tsrmcl.tokenizer import (
     protect_numbers,
     tokenize,
 )
+
+from conftest import PROPERTY
 
 
 @pytest.fixture(scope="module")
@@ -245,9 +248,6 @@ class TestTokenize:
         assert seq.protected_spans == ()
 
 
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
-
-
 @lru_cache(maxsize=None)
 def policy_vocab(number_protection):
     return build_vocab(fuzz_descriptions(120, seed=5), target_size=512,
@@ -322,7 +322,7 @@ class TestMergeRanks:
                             number_protection=number_protection)
         p = tmp_path_factory.mktemp("vocab") / "vocab.json"
         vocab.save(p)
-        assert Vocab.load(p).merges == vocab.merges
+        assert Vocab.load(p) == vocab
 
 
 class TestVocabFile:
@@ -363,6 +363,28 @@ class TestVocabFile:
         }))
         with pytest.raises(ContractError, match=rf"{re.escape(str(p))}: merges\[{bad}\]"):
             Vocab.load(p)
+
+    @pytest.mark.parametrize("text, detail", [
+        (json.dumps(list(RESERVED)), "expected a JSON object"),
+        ('{"tokens": [', "Expecting value"),
+        (json.dumps({"merges": [], "number_protection": True}), "no tokens list"),
+        (json.dumps({"tokens": list(RESERVED), "number_protection": True}), "no merges list"),
+        (json.dumps({"tokens": list(RESERVED) + ["a", 5], "merges": [], "number_protection": True}),
+         r"tokens\[6\] 5 is not a distinct string"),
+        (json.dumps({"tokens": list(RESERVED) + ["a", "a"], "merges": [], "number_protection": True}),
+         r"tokens\[6\] 'a' is not a distinct string"),
+        (json.dumps({"tokens": list(RESERVED) + ["a", "b", "x"], "merges": [["a", "b"]],
+                     "number_protection": True}), r"merges\[0\] product 'ab' is not tokens\[7\]"),
+    ], ids=["json-list", "bad-json", "no-tokens", "no-merges", "integer-token",
+            "repeated-base-token", "product-not-at-end"])
+    def test_malformed_file_rejected_naming_it(self, tmp_path, capsys, text, detail):
+        """Load and ``tsrmcl tokenize`` both refuse the file with a located error."""
+        p = tmp_path / "vocab.json"
+        p.write_text(text)
+        with pytest.raises(ContractError, match=rf"{re.escape(str(p))}: .*{detail}"):
+            Vocab.load(p)
+        assert run(["tokenize", "--vocab", str(p), "--text", "a b"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {p}: ")
 
     def test_missing_reserved_rejected(self):
         with pytest.raises(ContractError):

@@ -3,7 +3,7 @@ convolution, T-CSP text gating, and I-Pooling attention."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tsrmcl.errors import ContractError, DimensionError
@@ -18,10 +18,7 @@ from tsrmcl.vision import (
     tcsp_gate,
 )
 
-from conftest import check_op_gradient
-
-
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+from conftest import PROPERTY, check_op_gradient
 
 
 @st.composite
