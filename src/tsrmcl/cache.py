@@ -4,12 +4,15 @@ All entries belong to the cache's one text-encoder fingerprint (a hash
 over the text config, every text-encoder tensor, the text projection and
 the vocab), fixed when the cache is made; a new model needs a new cache.
 A model is a value, so its fingerprint is computed once per model and
-kept; it is checked against the cache's on every lookup, and a hit then
+kept; it is checked against the cache's once per call, and a hit then
 costs one ``normalize`` plus one dict lookup.
 
-The cache is semantically transparent: any sequence of operations
-produces bit-identical outputs with it on or off. Readers run
-concurrently; a miss encodes outside the lock and publishes once, so
+``get_or_encode_many`` looks every text up first, then encodes the
+distinct missing keys in one ``embed_texts`` call. That is exact because
+``embed_texts`` is batch invariant: a row is bit-identical whatever else
+its batch holds. So the cache is semantically transparent: any sequence
+of operations produces bit-identical outputs with it on or off. Readers
+run concurrently; misses encode outside the lock and publish once, so
 duplicate concurrent misses converge to a single stored value.
 """
 
@@ -25,7 +28,7 @@ import numpy as np
 from .errors import ContractError, StaleCacheError
 from .tokenizer import normalize
 
-__all__ = ["CacheStats", "SemanticCache", "get_or_encode", "bench_cache"]
+__all__ = ["CacheStats", "SemanticCache", "get_or_encode", "get_or_encode_many", "bench_cache"]
 
 
 @dataclass
@@ -93,27 +96,43 @@ class SemanticCache:
             return value
 
 
-def get_or_encode(text: str, model, cache: SemanticCache) -> np.ndarray:
-    """Return the embedding of ``text``, encoding on first touch.
+def get_or_encode_many(texts, model, cache: SemanticCache) -> np.ndarray:
+    """Return the (K, d) embeddings of ``texts``, in order, encoding on
+    first touch.
 
     The model's text fingerprint, computed once per model, is checked
-    against the cache's on every lookup; a mismatch means the cache is
-    stale (``SemanticCache(model.text_fingerprint())`` replaces it) and
-    raises ``StaleCacheError`` before anything is encoded. A hit then costs one
-    ``normalize`` plus one dict lookup.
+    against the cache's first; a mismatch means the cache is stale
+    (``SemanticCache(model.text_fingerprint())`` replaces it) and raises
+    ``StaleCacheError`` before anything is looked up or encoded. Each text
+    is then one lookup (a hit costs one ``normalize`` plus one dict
+    lookup), and each distinct missing key is encoded once, all in one
+    ``model.embed_texts`` call made outside the lock. An empty ``texts``
+    raises ContractError.
     """
+    texts = list(texts)
+    if not texts:
+        raise ContractError("get_or_encode_many needs at least one text")
     fp = model.text_fingerprint()
     if fp != cache.fingerprint:
         raise StaleCacheError(
             f"cache fingerprint {cache.fingerprint:#x} does not match encoder {fp:#x}"
         )
-    key = normalize(text)
-    hit = cache._get(key)
-    if hit is not None:
-        return hit
-    value = model.embed_text(text)  # outside the lock on purpose
-    value.flags.writeable = False
-    return cache._put(key, value)
+    keys = [normalize(t) for t in texts]
+    rows = [cache._get(key) for key in keys]
+    missing = {key: text for key, text, row in zip(keys, texts, rows) if row is None}
+    if missing:
+        stored = {}
+        for key, value in zip(missing, model.embed_texts(missing.values())):
+            value = value.copy()  # own its bytes: a view would pin the whole batch
+            value.flags.writeable = False
+            stored[key] = cache._put(key, value)
+        rows = [stored[key] if row is None else row for key, row in zip(keys, rows)]
+    return np.stack(rows)
+
+
+def get_or_encode(text: str, model, cache: SemanticCache) -> np.ndarray:
+    """The embedding of one text: the one-row case of ``get_or_encode_many``."""
+    return get_or_encode_many([text], model, cache)[0]
 
 
 def bench_cache(model, texts, images, repeats: int = 1) -> dict:
@@ -143,8 +162,7 @@ def bench_cache(model, texts, images, repeats: int = 1) -> dict:
     cold_stats = cold_cache.stats
 
     warm_cache = SemanticCache(fp)
-    for t in texts:  # priming sweep
-        get_or_encode(t, model, warm_cache)
+    get_or_encode_many(texts, model, warm_cache)  # priming sweep
     prime_misses = warm_cache.stats.misses
     t0 = time.perf_counter()
     for _ in range(repeats):

@@ -32,6 +32,7 @@ from .encoders import (
     init_projection_params,
     init_text_params,
     init_vit_params,
+    padded_width,
     project_to_shared,
 )
 from .tensor import AdamState, Tensor, adam_step, logsumexp, matmul
@@ -189,26 +190,42 @@ class DualEncoderModel:
     # inference-side embedding ------------------------------------------
 
     def embed_images(self, images) -> np.ndarray:
-        """(B, H, W, C) stack -> (B, d) unit rows, on the training path.
+        """(B, H, W, C) stack -> (B, d) unit rows, on the training path; a
+        (0, H, W, C) stack gives (0, d).
 
-        Batch invariance: a row of a stacked call matches the same image
-        embedded alone (``embed_images(x[None])[0]``) to within 1e-12
-        but not bit for bit (2.2e-16 apart at most on 64 random 32 x 32
-        crops), since a stacked matmul may accumulate in another order.
-        A given stack always embeds bit-identically, so ``classify_image``,
-        which embeds its image as a one-row stack, is reproducible bit
-        for bit, with the cache on or off.
+        Batch invariant: each row depends on its own image alone, so
+        ``embed_images(x)[i]`` is bit-identical to ``embed_images(x[i:i + 1])[0]``
+        whatever else the stack holds.
         """
         f = encode_images(Tensor(images), self.vit)
         return project_to_shared(f, self.proj_v).to_numpy()
 
+    def embed_texts(self, texts) -> np.ndarray:
+        """K texts -> (K, d) unit rows, in input order.
+
+        Each text is checked as ``embed_text`` checks it, before anything
+        is encoded: one over the encoder's ``max_len`` tokens raises
+        ContractError naming it, and so does an empty list. Rows are
+        grouped by ``padded_width`` of their own length and each group is
+        encoded as one stack, so ``embed_texts(xs)[i]`` is bit-identical to
+        ``embed_texts([xs[i]])[0]`` whatever else ``xs`` holds.
+        """
+        max_len = self.text.config.max_len
+        seqs = [_fitting_tokens(t, self.vocab, max_len) for t in texts]
+        if not seqs:
+            raise ContractError("embed_texts needs at least one text")
+        groups: dict[int, list[int]] = {}
+        for i, seq in enumerate(seqs):
+            groups.setdefault(padded_width(len(seq.ids), max_len), []).append(i)
+        out = np.empty((len(seqs), self.proj_t["w"].shape[1]))
+        for rows in groups.values():
+            f = encode_texts([seqs[i] for i in rows], self.text)
+            out[rows] = project_to_shared(f, self.proj_t).to_numpy()
+        return out
+
     def embed_text(self, text: str) -> np.ndarray:
-        """Unit text embedding. A text over the encoder's ``max_len``
-        tokens raises ContractError naming it, so ``classify_image``,
-        the cache and ``tsrmcl classify`` reject it before encoding."""
-        seq = _fitting_tokens(text, self.vocab, self.text.config.max_len)
-        f = encode_texts([seq], self.text)
-        return project_to_shared(f, self.proj_t).to_numpy()[0]
+        """Unit text embedding: the one-row case of ``embed_texts``."""
+        return self.embed_texts([text])[0]
 
     def text_fingerprint(self) -> int:
         """64-bit digest over everything the text embedding reads: the text
@@ -323,19 +340,20 @@ def _read_params(path, shapes: dict) -> dict[str, Tensor]:
 def classify_image(model: DualEncoderModel, image, class_texts, cache=None) -> np.ndarray:
     """Probability vector of an image against the class text list.
 
-    The class rows are built before the image is embedded. With a
-    ``cache``, each comes from ``cache.get_or_encode``, which checks the
-    model's text fingerprint (computed once per model) against the cache
-    on every lookup, so a stale cache raises ``StaleCacheError`` before
-    anything is encoded. A hit costs one key ``normalize`` plus one dict
-    lookup; a miss one text encode.
+    The class rows are built before the image is embedded: without a
+    ``cache`` by one ``model.embed_texts`` call, with one by
+    ``cache.get_or_encode_many``, which checks the model's text fingerprint
+    (computed once per model) against the cache's first, so a stale cache
+    raises ``StaleCacheError`` before anything is encoded, and then encodes
+    all of the request's misses in one ``embed_texts`` call. Both are batch
+    invariant, so the result is bit-identical with the cache on or off.
     """
     if not class_texts:
         raise ContractError("classify_image needs at least one class text")
     if cache is None:
-        cls = np.stack([model.embed_text(t) for t in class_texts])
+        cls = model.embed_texts(class_texts)
     else:
-        cls = np.stack([semantic_cache.get_or_encode(t, model, cache) for t in class_texts])
+        cls = semantic_cache.get_or_encode_many(class_texts, model, cache)
     f_v = model.embed_images(np.asarray(image)[None])[0]
     return classify(f_v, cls, model.temperature)
 
@@ -417,9 +435,11 @@ def train(pairs, config: TrainConfig):
     text is tokenized and checked once, before the first step: one longer
     than ``config.max_len`` tokens raises ContractError naming the first
     pair that holds it, and the text. Rows of a batch that share a text
-    share one encoding per step (see ``_batch_loss``), so the B x B InfoNCE
-    matches encoding every row alone to about 1e-10 relative, not bit for
-    bit: a smaller stack may sum in another order. Returns (model, trace)
+    share one encoding per step (see ``_batch_loss``). A batch pads its
+    texts to ``padded_width`` of its longest one (the multiple of 8 above
+    it), and the encoders are batch invariant, so the forward values equal
+    encoding every row, bit for bit; the gradients sum the shared rows in
+    another order and match to about 1e-10 relative. Returns (model, trace)
     where trace rows are (epoch, mean_loss, tau).
     """
     pairs = list(pairs)

@@ -33,9 +33,11 @@ __all__ = [
     "encode_images",
     "encode_texts",
     "project_to_shared",
+    "padded_width",
 ]
 
 MASK_OFF = -1e9  # additive score for masked keys; exp underflows to exactly 0
+PAD_MULTIPLE = 8  # a text stack pads to its longest row rounded up to this, capped at max_len
 
 
 @dataclass(frozen=True)
@@ -191,8 +193,7 @@ def _vit_block(z: Tensor, t: dict[str, Tensor], i: int, heads: int) -> Tensor:
     return layer_norm(mlp + z, t[f"blk{i}.ln2.g"], t[f"blk{i}.ln2.b"])
 
 
-def _text_block(z: Tensor, t: dict[str, Tensor], i: int, heads: int,
-                mask: Tensor | None) -> Tensor:
+def _text_block(z: Tensor, t: dict[str, Tensor], i: int, heads: int, mask: Tensor) -> Tensor:
     attn = _mha(z, t, f"blk{i}", heads, mask)
     return layer_norm(attn + z, t[f"blk{i}.ln1.g"], t[f"blk{i}.ln1.b"])
 
@@ -222,6 +223,12 @@ def encode_images(images: Tensor, params: EncoderParams) -> Tensor:
     return z[:, 0, :]
 
 
+def padded_width(length: int, max_len: int) -> int:
+    """The width a ``length``-token row pads to: ``length`` rounded up to a
+    multiple of ``PAD_MULTIPLE``, capped at ``max_len``."""
+    return min(-(-length // PAD_MULTIPLE) * PAD_MULTIPLE, max_len)
+
+
 def _ids_and_mask(sequences, cfg: TextEncoderConfig) -> tuple[np.ndarray, np.ndarray]:
     rows = []
     for seq in sequences:
@@ -229,8 +236,10 @@ def _ids_and_mask(sequences, cfg: TextEncoderConfig) -> tuple[np.ndarray, np.nda
         if len(ids) > cfg.max_len:
             raise ContractError(f"sequence length {len(ids)} exceeds max {cfg.max_len}")
         rows.append(ids)
-    width = max(len(r) for r in rows)
-    ids = np.full((len(rows), width), Vocab.pad_id, dtype=np.int64)
+    if not rows:
+        raise ContractError("encode_texts needs at least one sequence")
+    ids = np.full((len(rows), padded_width(max(map(len, rows)), cfg.max_len)), Vocab.pad_id,
+                  dtype=np.int64)
     for i, r in enumerate(rows):
         ids[i, : len(r)] = r
     return ids, ids == Vocab.pad_id
@@ -239,8 +248,11 @@ def _ids_and_mask(sequences, cfg: TextEncoderConfig) -> tuple[np.ndarray, np.nda
 def encode_texts(sequences, params: EncoderParams) -> Tensor:
     """Encode a batch of token sequences; returns (B, d) [CLS] rows.
 
-    Sequences are right-padded to the batch maximum and pad keys are
-    masked out of every attention row, so pads never leak into [CLS].
+    Sequences are right-padded to ``padded_width`` of the longest one, and
+    pad keys are masked out of every attention row, so pads never leak
+    into [CLS]. A row's values depend on its own tokens and that width
+    only: rows padded to one width are bit-identical whatever else is in
+    the stack. An empty batch raises ContractError.
     """
     cfg: TextEncoderConfig = params.config
     t = params.tensors
@@ -249,9 +261,7 @@ def encode_texts(sequences, params: EncoderParams) -> Tensor:
     z = t["tok.w"][ids]  # gather -> (B, L, d)
     pos = Tensor(sinusoidal_positions(n, cfg.width)[None, :, :])
     z = z + pos
-    mask = None
-    if pad.any():
-        mask = Tensor(np.where(pad, MASK_OFF, 0.0)[:, None, None, :])
+    mask = Tensor(np.where(pad, MASK_OFF, 0.0)[:, None, None, :])
     for i in range(cfg.layers):
         z = _text_block(z, t, i, cfg.heads, mask)
     return z[:, 0, :]
@@ -259,8 +269,12 @@ def encode_texts(sequences, params: EncoderParams) -> Tensor:
 
 def project_to_shared(f: Tensor, params: dict[str, Tensor]) -> Tensor:
     """(B, d_in) features -> (B, d_out) rows: a linear projection, then
-    L2 normalization of each row to unit length."""
+    L2 normalization of each row to unit length. The projection runs as a
+    stack of B one-row products, so each row is bit-identical whatever B
+    is (a (B, d_in) product may sum a row in another order)."""
     f = Tensor._coerce(f)
     if f.ndim != 2:
         raise DimensionError(f"project_to_shared expects (B, d), got {f.shape}")
-    return l2_normalize(linear(f, params["w"], params["b"]))
+    b, k = f.shape
+    rows = linear(f.reshape(b, 1, k), params["w"], params["b"])
+    return l2_normalize(rows.reshape(b, rows.shape[-1]))

@@ -19,6 +19,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 from types import MappingProxyType
 
 from .errors import ContractError
@@ -103,16 +104,31 @@ class KnowledgeBase:
 
     @classmethod
     def load(cls, path=None) -> "KnowledgeBase":
+        """The bundled rules, or those of the file at ``path``. ContractError
+        naming the path if the file is not JSON or not a list, and also
+        ``[k].<field>`` if entry k lacks a string ``pattern`` (or it does not
+        compile), ``field`` or ``value``, or an integer ``priority``."""
         if path is None:
-            raw = resources.files("tsrmcl").joinpath("data/knowledge_base.json").read_text("utf-8")
+            path = resources.files("tsrmcl").joinpath("data/knowledge_base.json")
         else:
-            with open(path, encoding="utf-8") as fh:
-                raw = fh.read()
-        entries = json.loads(raw)
-        rules = [
-            _Rule(e["pattern"], e["field"], e["value"], int(e["priority"]))
-            for e in entries
-        ]
+            path = Path(path)
+        with path.open(encoding="utf-8") as fh:
+            try:
+                entries = json.load(fh)
+            except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+                raise ContractError(f"{path}: {exc}") from exc
+        if not isinstance(entries, list):
+            raise ContractError(f"{path}: expected a JSON list of rules, got {type(entries).__name__}")
+        rules = []
+        for k, e in enumerate(entries):
+            for name, kind, what in (("pattern", str, "a string"), ("field", str, "a string"),
+                                     ("value", str, "a string"), ("priority", int, "an integer")):
+                if not isinstance(e, dict) or type(e.get(name)) is not kind:
+                    raise ContractError(f"{path}: [{k}].{name} is missing or not {what}")
+            try:
+                rules.append(_Rule(e["pattern"], e["field"], e["value"], e["priority"]))
+            except re.error as exc:
+                raise ContractError(f"{path}: [{k}].pattern does not compile: {exc}") from exc
         return cls(rules)
 
     def first_match(self, fieldname: str, text: str) -> str | None:
@@ -224,8 +240,11 @@ def _words(norm: str, protect: bool) -> list[tuple[tuple[str, ...], tuple[bool, 
 
 
 def _merge(syms, flags, pair) -> tuple[tuple[str, ...], tuple[bool, ...]]:
-    """One left-to-right pass joining every unprotected adjacent ``pair``."""
+    """One left-to-right pass joining every unprotected adjacent ``pair``;
+    a word that lacks either symbol comes back as it is, without a pass."""
     a, b = pair
+    if a not in syms or b not in syms:
+        return syms, flags
     out_s: list[str] = []
     out_f: list[bool] = []
     i = 0

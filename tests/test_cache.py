@@ -2,6 +2,9 @@
 concurrency, and the throughput benchmark."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tsrmcl.cache import SemanticCache, bench_cache, get_or_encode
+from tsrmcl.cache import SemanticCache, bench_cache, get_or_encode, get_or_encode_many
 from tsrmcl.contrastive import DualEncoderModel, TrainConfig, classify_image, init_model, train
 from tsrmcl.encoders import EncoderParams
 from tsrmcl.errors import ContractError, StaleCacheError
@@ -28,7 +31,32 @@ TEXTS = [
 ]
 
 
+# texts of five padded widths: a batch mixes rows that are encoded as different stacks
+POOL = TEXTS + [
+    "stop",
+    "no entry",
+    "a circular red sign with speed limit 40 km/h and height limit 2.5 m ahead of children",
+    "a triangular yellow sign warning of children ahead, then keep right",
+]
+
+
 CONFIG = TrainConfig(seed=11, image_side=8, patch=4, width=16, vit_layers=1, text_layers=1)
+
+
+def assert_rows_bit_identical(model, texts, images):
+    """Every row of a stacked ``embed_texts`` / ``embed_images`` call is
+    bit-identical to the same input embedded alone."""
+    for text, row in zip(texts, model.embed_texts(texts)):
+        assert row.tobytes() == model.embed_texts([text])[0].tobytes(), text
+    for i, row in enumerate(model.embed_images(images)):
+        assert row.tobytes() == model.embed_images(images[i:i + 1])[0].tobytes(), i
+
+
+def check_benchmark_shaped_model() -> None:
+    """The batch-invariance contract on a model of the benchmark's default
+    shape (32 x 32 images, width 32, 2 + 2 layers), 64 images and the pool."""
+    model = init_model(TrainConfig(seed=5), build_vocab(POOL, target_size=512))
+    assert_rows_bit_identical(model, POOL * 2, np.random.default_rng(5).random((64, 32, 32, 3)))
 
 
 @pytest.fixture(scope="module")
@@ -184,14 +212,61 @@ class TestClassifierTransparency:
 
 
 class TestBatchInvariance:
-    """Stacked and one-row ``embed_images`` calls agree to 1e-12, not bit
-    for bit (``classify_image`` cache on/off equality is checked above)."""
+    """Each embedding row depends on its own input alone: a row of a stacked
+    call is bit-identical to the one-row call, whatever else the batch holds."""
 
-    def test_stacked_rows_within_1e_12_of_single_rows(self, model, rng):
+    def test_stacked_rows_bit_identical_to_single_rows(self, model, rng):
         images = rng.random((64, 8, 8, 3))
         stacked = model.embed_images(images)
         for img, row in zip(images, stacked):
-            np.testing.assert_allclose(row, model.embed_images(img[None])[0], rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(row, model.embed_images(img[None])[0])
+
+    @PROPERTY
+    @given(picks=st.lists(st.integers(0, len(POOL) - 1), min_size=1, max_size=16))
+    def test_any_batch_composition(self, model, picks):
+        """Random subsets, orders and repeats of a pool, B from 1 to 16."""
+        images = np.random.default_rng(len(POOL)).random((len(POOL), 8, 8, 3))
+        assert_rows_bit_identical(model, [POOL[k] for k in picks], images[picks])
+
+    def test_benchmark_shaped_model_under_default_threads(self):
+        check_benchmark_shaped_model()
+
+    def test_benchmark_shaped_model_under_one_blas_thread(self):
+        """perfbench pins OpenBLAS to one thread, and its cache on/off check
+        rests on this contract; the pinning only takes effect at start-up,
+        so the check runs in a fresh interpreter."""
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(here), "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, here, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", "import test_cache; test_cache.check_benchmark_shaped_model()"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+
+
+class TestBatchedMisses:
+    def test_request_encodes_its_distinct_misses_in_one_call(self, model, monkeypatch):
+        calls = []
+        embed_texts = DualEncoderModel.embed_texts
+        monkeypatch.setattr(DualEncoderModel, "embed_texts",
+                            lambda self, texts: calls.append(list(texts)) or embed_texts(self, texts))
+        cache = SemanticCache(model.text_fingerprint(), max_entries=4)
+        get_or_encode_many(TEXTS[:2], model, cache)
+        assert calls == [TEXTS[:2]]
+        # 2 hits; 4 misses on 3 distinct keys, TEXTS[3] and its upper case sharing one
+        request = [TEXTS[0], TEXTS[2], TEXTS[3].upper(), TEXTS[3], TEXTS[1], TEXTS[4]]
+        rows = get_or_encode_many(request, model, cache)
+        assert calls[1:] == [[TEXTS[2], TEXTS[3], TEXTS[4]]]
+        assert (cache.stats.hits, cache.stats.misses) == (2, 2 + 4)
+        assert cache.stats.lookups == 2 + len(request)
+        assert cache.stats.evictions == 2 + 3 - 4 and len(cache) == 4
+        assert cache.stats.bytes_resident == 4 * rows[0].nbytes
+        np.testing.assert_array_equal(rows, model.embed_texts(request))
+
+    def test_empty_request_rejected(self, model, cache):
+        with pytest.raises(ContractError, match="at least one text"):
+            get_or_encode_many([], model, cache)
 
 
 class TestClassifyFingerprintOnce:
@@ -258,7 +333,7 @@ class TestClassifyFingerprintOnce:
         assert digests == []
 
     def test_stale_cache_raises_and_encodes_nothing(self, model, rng, monkeypatch):
-        texts_encoded = self.count_calls(monkeypatch, "embed_text")
+        texts_encoded = self.count_calls(monkeypatch, "embed_texts")
         images_encoded = self.count_calls(monkeypatch, "embed_images")
         stale = SemanticCache(model.text_fingerprint() ^ 0xDEAD)
         with pytest.raises(StaleCacheError):

@@ -192,6 +192,41 @@ class TestClassify:
             classify_image(model, rng.random((8, 8, 3)), ["a red sign", long_text], cache=cache)
 
 
+class TestEmbed:
+    TEXTS = ["stop", "a red sign", "a circular blue sign with a white arrow indicating keep right"]
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return init_model(tiny_config(), build_vocab(self.TEXTS))
+
+    def test_texts_in_input_order_across_widths(self, model):
+        rows = model.embed_texts(self.TEXTS)
+        assert rows.shape == (3, 16)
+        np.testing.assert_array_equal(model.embed_texts(self.TEXTS[::-1]), rows[::-1])
+
+    def test_empty_text_batch_rejected(self, model):
+        with pytest.raises(ContractError, match="embed_texts needs at least one text"):
+            model.embed_texts([])
+
+    def test_over_long_text_rejected_before_anything_is_encoded(self, model, monkeypatch):
+        encoded = []
+        monkeypatch.setattr("tsrmcl.contrastive.encode_texts", lambda *a: encoded.append(a))
+        with pytest.raises(ContractError, match=r"text has \d+ tokens, over max_len 64: 'red red"):
+            model.embed_texts(["a red sign", " ".join(["red"] * 80)])
+        assert encoded == []
+
+    def test_empty_image_stack_gives_zero_rows(self, model):
+        assert model.embed_images(np.zeros((0, 8, 8, 3))).shape == (0, 16)
+
+    def test_classify_without_cache_embeds_texts_in_one_call(self, model, rng, monkeypatch):
+        calls = []
+        embed_texts = DualEncoderModel.embed_texts
+        monkeypatch.setattr(DualEncoderModel, "embed_texts",
+                            lambda self, texts: calls.append(list(texts)) or embed_texts(self, texts))
+        classify_image(model, rng.random((8, 8, 3)), self.TEXTS * 2)
+        assert calls == [self.TEXTS * 2]
+
+
 def tiny_pairs(rng, n=12, side=8):
     texts = [
         "a circular red sign with speed limit 40 km/h",
@@ -252,9 +287,10 @@ class TestTrain:
 
     def test_distinct_text_step_matches_per_row_encoding(self, rng):
         """One step on a batch that repeats its texts: encoding each text
-        once and gathering the rows back gives every parameter the gradient
-        of encoding all B rows, to 1e-10 of the step's largest gradient
-        entry (the key biases' gradients are zero up to rounding)."""
+        once and gathering the rows back gives the loss of encoding all B
+        rows exactly (the encoders are batch invariant), and every parameter
+        its gradient to 1e-10 of the step's largest gradient entry (the key
+        biases' gradients are zero up to rounding)."""
         pairs = tiny_pairs(rng, n=10)
         texts = sorted({t for _, t in pairs})
         vocab = build_vocab(texts)
@@ -272,7 +308,7 @@ class TestTrain:
         fv = project_to_shared(encode_images(Tensor(images), model.vit), model.proj_v)
         ft = project_to_shared(encode_texts([sequences[k] for k in text_of], model.text), model.proj_t)
         ref_loss, ref = gradients(contrastive_loss(similarity(fv, ft), model.temperature))
-        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        assert loss == ref_loss
         scale = max(np.max(np.abs(g)) for g in ref.values())
         for name, g in ref.items():
             assert got[name] is not None, name

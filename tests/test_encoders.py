@@ -13,6 +13,7 @@ from tsrmcl.encoders import (
     init_projection_params,
     init_text_params,
     init_vit_params,
+    padded_width,
     patchify,
     project_to_shared,
     sinusoidal_positions,
@@ -192,6 +193,16 @@ class TestEncodeText:
         with pytest.raises(ContractError):
             encode_texts([self._seq([0] * 17)], params)
 
+    def test_empty_batch_rejected(self):
+        params = init_text_params(TOY_TXT, TOY_VOCAB_SIZE, seed=7)
+        with pytest.raises(ContractError, match="at least one sequence"):
+            encode_texts([], params)
+
+    @pytest.mark.parametrize("length, width", [(1, 8), (8, 8), (9, 16), (16, 16), (60, 64), (64, 64)])
+    def test_padded_width_rounds_up_to_eight_capped_at_max_len(self, length, width):
+        assert padded_width(length, 64) == width
+        assert padded_width(length, 12) == min(width, 12)
+
 
 class TestProjection:
     def test_identity_projection_of_unit_vector(self):
@@ -211,6 +222,13 @@ class TestProjection:
         params = {"w": Tensor(np.zeros((4, 4))), "b": Tensor(np.zeros(4))}
         with pytest.raises(DegenerateInputError):
             project_to_shared(Tensor(np.ones((1, 4))), params)
+
+    def test_rows_bit_identical_to_one_row_calls(self, rng):
+        params = init_projection_params(32, 32, seed=13)
+        x = rng.normal(size=(33, 32))
+        out = project_to_shared(Tensor(x), params).data
+        for i in range(len(x)):
+            assert out[i].tobytes() == project_to_shared(Tensor(x[i:i + 1]), params).data[0].tobytes()
 
     def test_unbatched_rejected(self):
         params = init_projection_params(4, 4, seed=11)

@@ -15,6 +15,7 @@ from tsrmcl.tokenizer import (
     RESERVED,
     KnowledgeBase,
     Vocab,
+    _merge,
     _words,
     build_vocab,
     detokenize,
@@ -325,6 +326,50 @@ class TestMergeRanks:
         assert Vocab.load(p) == vocab
 
 
+def merge_every_word(syms, flags, pair):
+    """The one-pair pass, run whether or not the word holds the pair."""
+    out_s, out_f, i = [], [], 0
+    while i < len(syms):
+        if syms[i:i + 2] == pair and not any(flags[i:i + 2]):
+            out_s.append(pair[0] + pair[1])
+            out_f.append(False)
+            i += 2
+        else:
+            out_s.append(syms[i])
+            out_f.append(flags[i])
+            i += 1
+    return tuple(out_s), tuple(out_f)
+
+
+class TestMergeKernel:
+    @pytest.mark.parametrize("pair", [("x", "b"), ("a", "x"), ("x", "y")])
+    def test_word_without_the_pair_symbols_comes_back_as_it_is(self, pair):
+        syms, flags = ("a", "b", "a"), (False, False, False)
+        out = _merge(syms, flags, pair)
+        assert out[0] is syms and out[1] is flags
+
+    @PROPERTY
+    @given(word=st.lists(st.sampled_from("ab1"), max_size=10),
+           pair=st.tuples(st.sampled_from("abx1"), st.sampled_from("abx1")))
+    def test_matches_the_pass_over_every_word(self, word, pair):
+        flags = tuple(sym == "1" for sym in word)
+        assert _merge(tuple(word), flags, pair) == merge_every_word(tuple(word), flags, pair)
+
+    def test_learned_vocab_unchanged(self, kb, monkeypatch):
+        """The churn-sized class-text pool (1000 codes) and the longtail8
+        profile learn the same vocab with either kernel."""
+        from tsrmcl.cli import sample_category_codes
+        from tsrmcl.dataset import LONGTAIL8, generate_description
+
+        pool = sorted({generate_description(c, kb) for c in sample_category_codes(1000)})
+        longtail = [generate_description(c, kb) for c, n in LONGTAIL8.items() for _ in range(n)]
+        for corpus in (pool, longtail):
+            vocab = build_vocab(corpus)
+            with monkeypatch.context() as m:
+                m.setattr("tsrmcl.tokenizer._merge", merge_every_word)
+                assert build_vocab(corpus) == vocab
+
+
 class TestVocabFile:
     def test_schema_fields(self, tmp_path):
         v = build_vocab(["speed limit 40 km/h"], target_size=128)
@@ -429,6 +474,30 @@ class TestKnowledgeBaseFile:
         assert isinstance(rules, list)
         for rule in rules:
             assert set(rule) == {"pattern", "field", "value", "priority"}
+
+    @pytest.mark.parametrize("text, detail", [
+        ('[{"pattern": "x",', "Expecting property name"),
+        (json.dumps({"pattern": "x"}), "expected a JSON list of rules, got dict"),
+        (json.dumps([{"field": "f", "value": "v", "priority": 1}]), r"\[0\]\.pattern is missing"),
+        (json.dumps([{"pattern": "x"}]), r"\[0\]\.field is missing"),
+        (json.dumps([{"pattern": "x", "field": "f", "value": "v", "priority": 1},
+                     {"pattern": "x", "field": "f", "priority": 1}]), r"\[1\]\.value is missing"),
+        (json.dumps([{"pattern": "x", "field": "f", "value": "v"}]), r"\[0\]\.priority is missing"),
+        (json.dumps([{"pattern": "x", "field": "f", "value": "v", "priority": "1"}]),
+         r"\[0\]\.priority is missing or not an integer"),
+        (json.dumps([{"pattern": "(", "field": "f", "value": "v", "priority": 1}]),
+         r"\[0\]\.pattern does not compile"),
+    ], ids=["bad-json", "not-a-list", "no-pattern", "no-field", "no-value", "no-priority",
+            "string-priority", "bad-regex"])
+    def test_malformed_file_rejected_naming_it(self, tmp_path, capsys, text, detail):
+        """Load and ``tsrmcl build-dataset --kb`` both refuse the file with a located error."""
+        p = tmp_path / "kb.json"
+        p.write_text(text)
+        with pytest.raises(ContractError, match=rf"{re.escape(str(p))}: .*{detail}"):
+            KnowledgeBase.load(p)
+        assert run(["build-dataset", "--kb", str(p), "--annotations", str(tmp_path / "gt.json"),
+                    "--images", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {p}: ")
 
     def test_reconstruction_is_labeled(self, kb):
         note = kb.first_match("meta", "")
