@@ -8,7 +8,7 @@ all on a small float64 autodiff tensor core.
 """
 
 from .boxes import BBox, inner_wiou_t, iou, iou_t
-from .cache import CacheStats, SemanticCache, bench_cache, get_or_encode, get_or_encode_many
+from .cache import CacheStats, SemanticCache, bench_cache, class_bank, get_or_encode, get_or_encode_many
 from .contrastive import (
     DualEncoderModel,
     Temperature,

@@ -14,6 +14,17 @@ its batch holds. So the cache is semantically transparent: any sequence
 of operations produces bit-identical outputs with it on or off. Readers
 run concurrently; misses encode outside the lock and publish once, so
 duplicate concurrent misses converge to a single stored value.
+
+Beside the per-text store, each cache keeps a one-slot class bank for
+``classify_image``: the exact text tuple of the last class list it served
+and that list's (K, d) row matrix, read-only. A request for the same tuple
+returns the matrix after the fingerprint check, with no ``normalize`` or
+per-text lookup, and counts K hits; any other tuple is served by one
+``get_or_encode_many`` call and replaces the slot. ``clear`` drops the
+bank. Its K x d bytes are outside ``max_entries`` and
+``stats.bytes_resident``, and a hit does not refresh the per-text LRU
+order. Its rows are the rows ``get_or_encode_many`` returned, so the bank
+keeps the cache transparent.
 """
 
 from __future__ import annotations
@@ -28,7 +39,8 @@ import numpy as np
 from .errors import ContractError, StaleCacheError
 from .tokenizer import normalize
 
-__all__ = ["CacheStats", "SemanticCache", "get_or_encode", "get_or_encode_many", "bench_cache"]
+__all__ = ["CacheStats", "SemanticCache", "get_or_encode", "get_or_encode_many", "class_bank",
+           "bench_cache"]
 
 
 @dataclass
@@ -49,12 +61,20 @@ class CacheStats:
 
 class SemanticCache:
     """Embeddings keyed by ``normalize(text)``, all of one fixed fingerprint.
-    Unbounded unless ``max_entries`` sets an LRU bound."""
+    Unbounded unless ``max_entries`` sets an LRU bound.
+
+    It also holds the class bank, one slot outside that bound: the text
+    tuple ``class_bank`` last served and its read-only (K, d) matrix. A
+    different tuple replaces it, ``clear`` drops it, a hit counts K hits,
+    and its bytes count toward neither ``max_entries`` nor
+    ``stats.bytes_resident``. It needs no fingerprint of its own, because
+    the cache's is fixed for its life."""
 
     def __init__(self, fingerprint: int, max_entries: int | None = None):
         self._fingerprint = int(fingerprint)
         self.max_entries = max_entries
         self._entries: OrderedDict[str, np.ndarray] = OrderedDict()
+        self._bank: tuple[tuple, np.ndarray] | None = None
         self._lock = threading.Lock()
         self.stats = CacheStats()
 
@@ -69,6 +89,7 @@ class SemanticCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._bank = None
             self.stats.bytes_resident = 0
 
     def _get(self, key: str) -> np.ndarray | None:
@@ -95,6 +116,25 @@ class SemanticCache:
                 self.stats.bytes_resident -= dropped.nbytes
             return value
 
+    def _bank_get(self, texts: tuple) -> np.ndarray | None:
+        with self._lock:
+            if self._bank is None or self._bank[0] != texts:
+                return None
+            self.stats.hits += len(texts)
+            return self._bank[1]
+
+    def _bank_put(self, texts: tuple, rows: np.ndarray) -> None:
+        with self._lock:
+            self._bank = (texts, rows)
+
+
+def _check_fingerprint(model, cache: SemanticCache) -> None:
+    fp = model.text_fingerprint()
+    if fp != cache.fingerprint:
+        raise StaleCacheError(
+            f"cache fingerprint {cache.fingerprint:#x} does not match encoder {fp:#x}"
+        )
+
 
 def get_or_encode_many(texts, model, cache: SemanticCache) -> np.ndarray:
     """Return the (K, d) embeddings of ``texts``, in order, encoding on
@@ -112,11 +152,7 @@ def get_or_encode_many(texts, model, cache: SemanticCache) -> np.ndarray:
     texts = list(texts)
     if not texts:
         raise ContractError("get_or_encode_many needs at least one text")
-    fp = model.text_fingerprint()
-    if fp != cache.fingerprint:
-        raise StaleCacheError(
-            f"cache fingerprint {cache.fingerprint:#x} does not match encoder {fp:#x}"
-        )
+    _check_fingerprint(model, cache)
     keys = [normalize(t) for t in texts]
     rows = [cache._get(key) for key in keys]
     missing = {key: text for key, text, row in zip(keys, texts, rows) if row is None}
@@ -133,6 +169,27 @@ def get_or_encode_many(texts, model, cache: SemanticCache) -> np.ndarray:
 def get_or_encode(text: str, model, cache: SemanticCache) -> np.ndarray:
     """The embedding of one text: the one-row case of ``get_or_encode_many``."""
     return get_or_encode_many([text], model, cache)[0]
+
+
+def class_bank(texts, model, cache: SemanticCache) -> np.ndarray:
+    """The read-only (K, d) rows of the class list ``texts``, through the
+    cache's one-slot class bank.
+
+    The model's fingerprint is checked first, as in ``get_or_encode_many``,
+    so a stale cache raises ``StaleCacheError`` before the bank is read.
+    If ``tuple(texts)`` equals the bank's tuple, its matrix is returned and
+    counted as K hits. Otherwise one ``get_or_encode_many`` call builds the
+    rows, which are frozen and replace the bank. The bank keeps its own
+    tuple, so a list the caller edits after a call misses.
+    """
+    texts = tuple(texts)
+    _check_fingerprint(model, cache)
+    rows = cache._bank_get(texts)
+    if rows is None:
+        rows = get_or_encode_many(texts, model, cache)
+        rows.flags.writeable = False
+        cache._bank_put(texts, rows)
+    return rows
 
 
 def bench_cache(model, texts, images, repeats: int = 1) -> dict:

@@ -340,20 +340,26 @@ def _read_params(path, shapes: dict) -> dict[str, Tensor]:
 def classify_image(model: DualEncoderModel, image, class_texts, cache=None) -> np.ndarray:
     """Probability vector of an image against the class text list.
 
-    The class rows are built before the image is embedded: without a
-    ``cache`` by one ``model.embed_texts`` call, with one by
-    ``cache.get_or_encode_many``, which checks the model's text fingerprint
-    (computed once per model) against the cache's first, so a stale cache
-    raises ``StaleCacheError`` before anything is encoded, and then encodes
-    all of the request's misses in one ``embed_texts`` call. Both are batch
-    invariant, so the result is bit-identical with the cache on or off.
+    ``class_texts`` is any non-empty sequence of str (a list, a tuple, a
+    numpy array); it is taken as a tuple first. The class rows are built
+    before the image is embedded: without a ``cache`` by one
+    ``model.embed_texts`` call, with one through ``cache.class_bank``. That
+    checks the model's text fingerprint (computed once per model) against
+    the cache's first, so a stale cache raises ``StaleCacheError`` before
+    anything is looked up or encoded. If the tuple equals the one the
+    cache's class bank holds, the bank's read-only K x d matrix is reused
+    and counted as K hits; otherwise one ``get_or_encode_many`` call builds
+    the rows, encoding all of the request's misses in one ``embed_texts``
+    call, and they replace the bank. Both paths are batch invariant, so the
+    result is bit-identical with the cache on or off.
     """
+    class_texts = tuple(class_texts)
     if not class_texts:
         raise ContractError("classify_image needs at least one class text")
     if cache is None:
         cls = model.embed_texts(class_texts)
     else:
-        cls = semantic_cache.get_or_encode_many(class_texts, model, cache)
+        cls = semantic_cache.class_bank(class_texts, model, cache)
     f_v = model.embed_images(np.asarray(image)[None])[0]
     return classify(f_v, cls, model.temperature)
 

@@ -56,7 +56,12 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.array(data, dtype=np.float64)
+        try:
+            arr = np.array(data, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ContractError(
+                f"Tensor needs numeric data, got {type(data).__name__}: {exc}"
+            ) from exc
         _ensure_finite(arr, "Tensor")
         self.data = _freeze(arr)
         self.requires_grad = bool(requires_grad)

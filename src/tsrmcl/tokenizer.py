@@ -53,7 +53,10 @@ _UNIT_CANON = [
 
 def normalize(text: str) -> str:
     """Lowercase, detach glued number/unit pairs, canonicalize unit
-    spellings, and collapse whitespace. Idempotent."""
+    spellings, and collapse whitespace. Idempotent. A ``text`` that is
+    not a str raises ContractError naming its type and value."""
+    if not isinstance(text, str):
+        raise ContractError(f"normalize needs a str, got {type(text).__name__}: {text!r}")
     t = text.lower()
     t = _DIGIT_LETTER_RE.sub(r"\1 ", t)
     t = _LETTER_DIGIT_RE.sub(r"\1 ", t)

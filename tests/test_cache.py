@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tsrmcl.cache import SemanticCache, bench_cache, get_or_encode, get_or_encode_many
+from tsrmcl.cache import SemanticCache, bench_cache, class_bank, get_or_encode, get_or_encode_many
 from tsrmcl.contrastive import DualEncoderModel, TrainConfig, classify_image, init_model, train
 from tsrmcl.encoders import EncoderParams
 from tsrmcl.errors import ContractError, StaleCacheError
@@ -209,6 +209,127 @@ class TestClassifierTransparency:
             off = classify_image(model, img, TEXTS, cache=None)
             on = classify_image(model, img, TEXTS, cache=cache)
             np.testing.assert_array_equal(off, on)
+
+
+class TestClassBank:
+    """The cache's one-slot class bank: the exact tuple of the last class
+    list ``classify_image`` served, with its read-only (K, d) matrix."""
+
+    @staticmethod
+    def count_embed_texts(monkeypatch):
+        calls = []
+        embed_texts = DualEncoderModel.embed_texts
+        monkeypatch.setattr(DualEncoderModel, "embed_texts",
+                            lambda self, texts: calls.append(list(texts)) or embed_texts(self, texts))
+        return calls
+
+    def test_cache_on_off_bit_identical_as_the_list_changes(self, model, rng):
+        cache = SemanticCache(model.text_fingerprint())
+        img = rng.random((8, 8, 3))
+
+        def check(texts):
+            assert np.array_equal(classify_image(model, img, texts, cache=cache),
+                                  classify_image(model, img, texts, cache=None)), texts
+
+        a, b = TEXTS[:3], TEXTS[2:]
+        mutated = list(TEXTS)
+        for texts in (a, b, a, a[::-1], mutated):
+            check(texts)
+        mutated[0] = TEXTS[1]  # edited after a call: the bank holds its own tuple, so it misses
+        check(mutated)
+        class_bank(mutated, model, cache)  # and so when the list is passed to the bank directly
+        mutated[0] = TEXTS[2]
+        np.testing.assert_array_equal(class_bank(mutated, model, cache), model.embed_texts(mutated))
+
+    @pytest.mark.parametrize("as_kind", [list, tuple, np.array])
+    def test_any_sequence_of_texts(self, model, rng, as_kind):
+        img = rng.random((8, 8, 3))
+        reference = classify_image(model, img, list(TEXTS))
+        cache = SemanticCache(model.text_fingerprint())
+        for _ in range(2):  # bank miss, then bank hit
+            assert np.array_equal(classify_image(model, img, as_kind(TEXTS)), reference)
+            assert np.array_equal(classify_image(model, img, as_kind(TEXTS), cache=cache),
+                                  reference)
+        with pytest.raises(ContractError, match="at least one class text"):
+            classify_image(model, img, as_kind([]), cache=cache)
+
+    def test_repeat_encodes_nothing_and_counts_hits(self, model, rng, monkeypatch):
+        calls = self.count_embed_texts(monkeypatch)
+        cache = SemanticCache(model.text_fingerprint())
+        img = rng.random((8, 8, 3))
+        first = classify_image(model, img, TEXTS, cache=cache)
+        assert calls == [TEXTS]
+        lookups = []
+        get = SemanticCache._get
+        monkeypatch.setattr(SemanticCache, "_get", lambda self, key: lookups.append(key) or get(self, key))
+        assert np.array_equal(classify_image(model, img, list(TEXTS), cache=cache), first)
+        assert calls == [TEXTS] and lookups == []  # no per-text lookup either
+        assert (cache.stats.hits, cache.stats.misses) == (len(TEXTS), len(TEXTS))
+
+    def test_clear_drops_the_bank(self, model, rng, monkeypatch):
+        calls = self.count_embed_texts(monkeypatch)
+        cache = SemanticCache(model.text_fingerprint())
+        img = rng.random((8, 8, 3))
+        classify_image(model, img, TEXTS, cache=cache)
+        cache.clear()
+        classify_image(model, img, TEXTS, cache=cache)
+        assert calls == [TEXTS, TEXTS]
+        assert (cache.stats.hits, cache.stats.misses) == (0, 2 * len(TEXTS))
+
+    def test_stale_cache_raises_before_the_bank_is_read(self, model, rng):
+        stale = SemanticCache(model.text_fingerprint() ^ 0xDEAD)
+        stale._bank = (tuple(TEXTS), model.embed_texts(TEXTS))
+        with pytest.raises(StaleCacheError):
+            classify_image(model, rng.random((8, 8, 3)), TEXTS, cache=stale)
+        assert stale.stats.lookups == 0
+
+    def test_matrix_is_read_only(self, model):
+        cache = SemanticCache(model.text_fingerprint())
+        for _ in range(2):  # as built, then as reused
+            rows = class_bank(TEXTS, model, cache)
+            with pytest.raises(ValueError):
+                rows[0, 0] = 0.0
+        np.testing.assert_array_equal(rows, model.embed_texts(TEXTS))
+
+    def test_threads_sharing_a_cache_get_cache_off_bytes(self, model, rng):
+        lists = [TEXTS, POOL[3:]]
+        images = rng.random((4, 8, 8, 3))
+        expected = {(i, j): classify_image(model, images[i], lists[j]).tobytes()
+                    for i in range(len(images)) for j in range(len(lists))}
+        cache = SemanticCache(model.text_fingerprint())
+        picks = [(k % len(images), (k // 3) % len(lists)) for k in range(64)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(
+                    lambda ij: classify_image(model, images[ij[0]], lists[ij[1]], cache=cache),
+                    picks))
+        finally:
+            sys.setswitchinterval(interval)
+        for ij, probs in zip(picks, results):
+            assert probs.tobytes() == expected[ij], ij
+        assert cache.stats.lookups == sum(len(lists[j]) for _, j in picks)
+
+
+class TestTextType:
+    @pytest.mark.parametrize("texts", [[1, 2], ["a", None]])
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_classify_rejects_non_str_text(self, model, rng, texts, cached):
+        cache = SemanticCache(model.text_fingerprint()) if cached else None
+        bad = next(t for t in texts if not isinstance(t, str))
+        with pytest.raises(ContractError, match=f"{type(bad).__name__}: {bad!r}"):
+            classify_image(model, rng.random((8, 8, 3)), texts, cache=cache)
+
+    def test_get_or_encode_rejects_non_str_text(self, model, cache):
+        with pytest.raises(ContractError, match="needs a str, got int: 7"):
+            get_or_encode(7, model, cache)
+        assert len(cache) == 0
+
+    @pytest.mark.parametrize("image", ["x", object()])
+    def test_classify_rejects_non_numeric_image(self, model, cache, image):
+        with pytest.raises(ContractError, match="^Tensor needs numeric data"):
+            classify_image(model, image, TEXTS, cache=cache)
 
 
 class TestBatchInvariance:

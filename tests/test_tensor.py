@@ -39,6 +39,11 @@ class TestInvariants:
         with pytest.raises(ContractError):
             Tensor([np.inf])
 
+    @pytest.mark.parametrize("data", ["x", object(), ["1.0", "y"], {"a": 1}])
+    def test_non_numeric_rejected_on_construction(self, data):
+        with pytest.raises(ContractError, match="^Tensor needs numeric data"):
+            Tensor(data)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_nonfinite_rejected_from_ops(self):
         with pytest.raises(ContractError):
