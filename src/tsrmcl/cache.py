@@ -15,16 +15,14 @@ of operations produces bit-identical outputs with it on or off. Readers
 run concurrently; misses encode outside the lock and publish once, so
 duplicate concurrent misses converge to a single stored value.
 
-Beside the per-text store, each cache keeps a one-slot class bank for
-``classify_image``: the exact text tuple of the last class list it served
-and that list's (K, d) row matrix, read-only. A request for the same tuple
-returns the matrix after the fingerprint check, with no ``normalize`` or
-per-text lookup, and counts K hits; any other tuple is served by one
-``get_or_encode_many`` call and replaces the slot. ``clear`` drops the
-bank. Its K x d bytes are outside ``max_entries`` and
-``stats.bytes_resident``, and a hit does not refresh the per-text LRU
-order. Its rows are the rows ``get_or_encode_many`` returned, so the bank
-keeps the cache transparent.
+A one-slot class bank sits beside the per-text store: the exact text
+tuple of the last class list ``class_bank`` served, with its read-only
+(K, d) matrix. The same tuple again costs one comparison and counts K
+hits; another tuple is built by one ``get_or_encode_many`` call and
+replaces the slot; ``clear`` drops it. The bank's bytes are outside
+``max_entries`` and ``stats.bytes_resident``, and a hit does not refresh
+the per-text LRU order. Its rows are ``get_or_encode_many``'s, so the
+cache stays transparent.
 """
 
 from __future__ import annotations
@@ -61,14 +59,11 @@ class CacheStats:
 
 class SemanticCache:
     """Embeddings keyed by ``normalize(text)``, all of one fixed fingerprint.
-    Unbounded unless ``max_entries`` sets an LRU bound.
-
-    It also holds the class bank, one slot outside that bound: the text
-    tuple ``class_bank`` last served and its read-only (K, d) matrix. A
-    different tuple replaces it, ``clear`` drops it, a hit counts K hits,
-    and its bytes count toward neither ``max_entries`` nor
-    ``stats.bytes_resident``. It needs no fingerprint of its own, because
-    the cache's is fixed for its life."""
+    Unbounded unless ``max_entries`` sets an LRU bound. The class bank,
+    one (tuple, K x d matrix) slot, is outside that bound and outside
+    ``stats.bytes_resident``; a new tuple replaces it, a hit counts K hits,
+    and ``clear`` drops it. It needs no fingerprint of its own, because the
+    cache's is fixed for its life."""
 
     def __init__(self, fingerprint: int, max_entries: int | None = None):
         self._fingerprint = int(fingerprint)
@@ -172,15 +167,13 @@ def get_or_encode(text: str, model, cache: SemanticCache) -> np.ndarray:
 
 
 def class_bank(texts, model, cache: SemanticCache) -> np.ndarray:
-    """The read-only (K, d) rows of the class list ``texts``, through the
-    cache's one-slot class bank.
+    """The read-only (K, d) rows of ``texts``, through the class bank.
 
-    The model's fingerprint is checked first, as in ``get_or_encode_many``,
-    so a stale cache raises ``StaleCacheError`` before the bank is read.
-    If ``tuple(texts)`` equals the bank's tuple, its matrix is returned and
-    counted as K hits. Otherwise one ``get_or_encode_many`` call builds the
-    rows, which are frozen and replace the bank. The bank keeps its own
-    tuple, so a list the caller edits after a call misses.
+    The fingerprint is checked first, so a stale cache raises
+    ``StaleCacheError`` before the bank is read. A ``tuple(texts)`` equal
+    to the bank's returns its matrix as K hits; any other is built by one
+    ``get_or_encode_many`` call, frozen, and replaces the bank. The bank
+    keeps its own tuple, so a list edited after a call misses.
     """
     texts = tuple(texts)
     _check_fingerprint(model, cache)
@@ -197,7 +190,8 @@ def bench_cache(model, texts, images, repeats: int = 1) -> dict:
 
     The cold pass clears the cache before every image, so every class
     text is re-encoded each time (hit ratio 0). The warm pass is timed
-    after one priming sweep populated the cache (hit ratio 1). Returns
+    after one priming sweep populated the cache and its class bank (hit
+    ratio 1). Returns
     the report dict {cold_ips, warm_ips, speedup, hits, misses, ...}.
     """
     from .contrastive import classify_image
@@ -219,7 +213,7 @@ def bench_cache(model, texts, images, repeats: int = 1) -> dict:
     cold_stats = cold_cache.stats
 
     warm_cache = SemanticCache(fp)
-    get_or_encode_many(texts, model, warm_cache)  # priming sweep
+    class_bank(texts, model, warm_cache)  # priming sweep
     prime_misses = warm_cache.stats.misses
     t0 = time.perf_counter()
     for _ in range(repeats):

@@ -340,18 +340,17 @@ def _read_params(path, shapes: dict) -> dict[str, Tensor]:
 def classify_image(model: DualEncoderModel, image, class_texts, cache=None) -> np.ndarray:
     """Probability vector of an image against the class text list.
 
-    ``class_texts`` is any non-empty sequence of str (a list, a tuple, a
-    numpy array); it is taken as a tuple first. The class rows are built
-    before the image is embedded: without a ``cache`` by one
-    ``model.embed_texts`` call, with one through ``cache.class_bank``. That
-    checks the model's text fingerprint (computed once per model) against
-    the cache's first, so a stale cache raises ``StaleCacheError`` before
-    anything is looked up or encoded. If the tuple equals the one the
-    cache's class bank holds, the bank's read-only K x d matrix is reused
-    and counted as K hits; otherwise one ``get_or_encode_many`` call builds
-    the rows, encoding all of the request's misses in one ``embed_texts``
-    call, and they replace the bank. Both paths are batch invariant, so the
-    result is bit-identical with the cache on or off.
+    ``class_texts`` is any non-empty sequence of str, taken as a tuple.
+    The class rows are built before the image is embedded: without a
+    ``cache`` by one ``model.embed_texts`` call, with one by
+    ``cache.class_bank``. That checks the model's text fingerprint first,
+    so a stale cache raises ``StaleCacheError`` before anything is looked
+    up or encoded. It then reuses the cache's class bank, a read-only
+    K x d matrix, if the tuple equals the bank's (K hits); otherwise one
+    ``get_or_encode_many`` call, which encodes all of the request's misses
+    in one ``embed_texts`` call, builds the rows and replaces the bank.
+    Both paths are batch invariant, so the result is bit-identical with
+    the cache on or off.
     """
     class_texts = tuple(class_texts)
     if not class_texts:

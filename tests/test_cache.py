@@ -304,7 +304,7 @@ class TestClassBank:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 results = list(pool.map(
                     lambda ij: classify_image(model, images[ij[0]], lists[ij[1]], cache=cache),
-                    picks))
+                    picks, timeout=120))
         finally:
             sys.setswitchinterval(interval)
         for ij, probs in zip(picks, results):
