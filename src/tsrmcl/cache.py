@@ -191,8 +191,8 @@ def bench_cache(model, texts, images, repeats: int = 1) -> dict:
     The cold pass clears the cache before every image, so every class
     text is re-encoded each time (hit ratio 0). The warm pass is timed
     after one priming sweep populated the cache and its class bank (hit
-    ratio 1). Returns
-    the report dict {cold_ips, warm_ips, speedup, hits, misses, ...}.
+    ratio 1). Returns the report dict {cold_ips, warm_ips, speedup, hits,
+    misses, ...}.
     """
     from .contrastive import classify_image
 
